@@ -3,9 +3,11 @@
 Each round p measures the feedback observable on the current state, converts
 it into the mixer strength for that round, advances both ratio certificates
 with the pre-step measurements, applies the layer unitaries, and records a
-trace row with the post-step energy. The first measurement happens on the
-initial plus state, so round 1 of the transverse-field ansatz applies an
-identity mixer layer.
+trace row with the post-step energy. The energy after one round is the
+energy before the next, so <H_f> is measured once per round plus once on the
+initial plus state. The first measurement happens on the initial plus state,
+so round 1 of the transverse-field ansatz applies an identity mixer layer.
+A NaN or infinite feedback value or energy stops the run with StateError.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .graphs import CutOracleResult, Graph, GraphError
 from .hamiltonian import MaxCutHamiltonian, error_constants
 from .statevector import (
     ObservableTerms,
+    StateError,
     apply_diagonal_phase,
     apply_rx,
     apply_ryz,
@@ -152,8 +155,10 @@ def _run_loop(
     optimum = float(oracle.optimum) if oracle is not None else None
 
     o_cur = feedback_observable(state, mixer, h.diag)
+    hf_after = expectation_diagonal(state, h.diag)
+    _check_finite(0, o_cur, hf_after)
     if observer is not None:
-        observer(0, expectation_diagonal(state, h.diag), one, two)
+        observer(0, hf_after, one, two)
 
     traces: list[StepTrace] = []
     t_elapsed = 0.0
@@ -162,7 +167,7 @@ def _run_loop(
         beta = beta_schedule(min(t_left, cfg.rounds * cfg.dt), cfg.rounds, cfg.dt, cfg.beta)
         o_used = o_cur
         alpha = beta * o_used if cfg.ansatz == "qaoa_feedback" or cfg.lightcone_feedback else beta
-        hf_before = expectation_diagonal(state, h.diag)
+        hf_before = hf_after
 
         dt_p = cfg.dt
         if cfg.adaptive_dt:
@@ -186,6 +191,7 @@ def _run_loop(
 
         o_cur = feedback_observable(state, mixer, h.diag)
         hf_after = expectation_diagonal(state, h.diag)
+        _check_finite(p, o_cur, hf_after)
         t_elapsed = t_elapsed + dt_p if cfg.adaptive_dt else p * cfg.dt
         true_ratio = hf_after / optimum if optimum is not None else None
         traces.append(
@@ -208,6 +214,12 @@ def _run_loop(
         if stop_at_true_ratio is not None and true_ratio is not None and true_ratio >= stop_at_true_ratio:
             break
     return traces
+
+
+def _check_finite(p: int, o_value: float, hf_value: float) -> None:
+    """Stop a run whose feedback value or energy after round p is NaN or infinite."""
+    if not (math.isfinite(o_value) and math.isfinite(hf_value)):
+        raise StateError(f"non-finite value after round {p}: O={o_value}, <H_f>={hf_value}")
 
 
 def _adaptive_dt(h, cfg, two, alpha, o_cur, hf_before, eta_coefficients, mixer_unit_count):

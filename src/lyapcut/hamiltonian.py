@@ -8,6 +8,7 @@ its max is the exact operator norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -28,9 +29,9 @@ class MaxCutHamiltonian:
     def n(self) -> int:
         return self.graph.n
 
-    @property
+    @cached_property
     def hf_norm(self) -> float:
-        """Exact spectral norm: max over the diagonal."""
+        """Exact spectral norm: max over the diagonal, computed on first use."""
         return float(self.diag.max())
 
 

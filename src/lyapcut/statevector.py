@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 STATE_CAP_DEFAULT = 24
 
-# XOR-index cache for Pauli-string application. Only small systems are cached;
-# above the cutoff the index arrays are rebuilt per call.
-_XOR_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_XOR_CACHE_MAX_QUBITS = 16
+# Z on one qubit, broadcast over the (high, bit, low) view of its halves.
+_Z_SIGNS = np.array([[1.0], [-1.0]])
+_Z_SIGNS.flags.writeable = False
 
 
 class StateError(ValueError):
@@ -75,6 +75,25 @@ class ObservableTerms:
 
     def max_qubit(self) -> int:
         return max((q for t in self.terms for q, _ in t.ops), default=-1)
+
+    @cached_property
+    def _single_flips(self) -> dict[tuple[int, str], list[tuple[float, tuple[int, ...]]]]:
+        """Terms that flip one qubit j, grouped by (j, letter), for feedback_observable.
+
+        Each entry holds the coefficient and the Z qubits as bits of the pair
+        index, which is the basis index with bit j removed. Pure-Z terms are
+        left out. A term that flips two or more qubits raises StateError.
+        """
+        groups: dict[tuple[int, str], list[tuple[float, tuple[int, ...]]]] = {}
+        for term in self.terms:
+            flips = [(q, p) for q, p in term.ops if p != "Z"]
+            if len(flips) > 1:
+                raise StateError(f"mixer term {term.ops} flips more than one qubit")
+            if flips:
+                (j, letter), = flips
+                z_bits = tuple(q - (q > j) for q, p in term.ops if p == "Z")
+                groups.setdefault((j, letter), []).append((term.coefficient, z_bits))
+        return groups
 
 
 def sum_x(n: int) -> ObservableTerms:
@@ -182,42 +201,28 @@ def expectation_diagonal(state: StateVector, diag: np.ndarray) -> float:
     return float(probs @ diag)
 
 
-def _xor_index(n: int, mask: int) -> np.ndarray:
-    key = (n, mask)
-    cached = _XOR_CACHE.get(key)
-    if cached is not None:
-        return cached
-    idx = np.arange(1 << n, dtype=np.uint64) ^ np.uint64(mask)
-    if n <= _XOR_CACHE_MAX_QUBITS:
-        idx.flags.writeable = False
-        _XOR_CACHE[key] = idx
-    return idx
-
-
 def apply_observable(amps: np.ndarray, n: int, obs: ObservableTerms) -> np.ndarray:
-    """Return (sum of Pauli terms) applied to an amplitude vector."""
+    """Return (sum of Pauli terms) applied to an amplitude vector.
+
+    Each letter acts on the two halves of its qubit: X swaps them, Z negates
+    the bit-1 half, and Y = i X Z.
+    """
     out = np.zeros_like(amps)
     for term in obs.terms:
-        flip = 0
-        pmask = 0
-        n_y = 0
+        weight = term.coefficient
+        vec = amps
         for q, p in term.ops:
             if q >= n:
                 raise StateError(f"term touches qubit {q} but n={n}")
-            if p != "Z":
-                flip |= 1 << q
+            view = vec.reshape(-1, 2, 1 << q)
             if p != "X":
-                pmask |= 1 << q
+                view = view * _Z_SIGNS
+            if p != "Z":
+                view = view[:, ::-1, :]
             if p == "Y":
-                n_y += 1
-        src = _xor_index(n, flip)
-        vals = amps[src] if flip else amps
-        if pmask:
-            parity = (np.bitwise_count(src & np.uint64(pmask)) & 1).astype(np.float64)
-            weight = (term.coefficient * (1j) ** n_y) * (1.0 - 2.0 * parity)
-            out += weight * vals
-        else:
-            out += term.coefficient * vals
+                weight *= 1j
+            vec = view.reshape(-1)
+        out += weight * vec
     return out
 
 
@@ -228,15 +233,45 @@ def expectation_pauli(state: StateVector, obs: ObservableTerms) -> float:
     return float(np.vdot(state.amplitudes, applied).real)
 
 
-def feedback_observable(state: StateVector, mixer: ObservableTerms, diag: np.ndarray) -> float:
-    """Expectation of i[A, H_f] for Hermitian mixer A and diagonal H_f.
+def _signed_sum(values: np.ndarray, bits) -> float:
+    """Sum of values[x] * prod over k in bits of (-1)^(bit k of x), one halving per bit."""
+    for k in sorted(bits, reverse=True):
+        view = values.reshape(-1, 2, 1 << k)
+        values = view[:, 0, :] - view[:, 1, :]
+    return float(values.sum())
 
-    Computed as -2 Im <psi| A (H_f psi)>, which equals the commutator
-    expectation for Hermitian operators at O(n 2^n) cost.
+
+def feedback_observable(state: StateVector, mixer: ObservableTerms, diag: np.ndarray) -> float:
+    """Expectation of i[A, H_f] for Hermitian mixer A and diagonal H_f = D.
+
+    O = -2 Im <psi| A (D psi)>, evaluated in closed form per kind of term:
+
+    - c X_j Z_S and c Y_j Z_S (S may be empty): over the amplitude pairs
+      (a0, a1) that differ in bit j, with Delta_j = D|bit j=1 - D|bit j=0 and
+      s_S the sign of Z_S, a Y term gives +2c sum s_S Re(conj(a0) a1) Delta_j
+      and an X term gives -2c sum s_S Im(conj(a0) a1) Delta_j.
+    - Pure-Z terms commute with D and give 0.
+
+    A term that flips two or more qubits raises StateError.
     """
     diag = np.asarray(diag)
-    if diag.shape != state.amplitudes.shape:
-        raise StateError(f"diag length {diag.size} != 2^{state.n_qubits}")
-    phi = state.amplitudes * diag
-    a_phi = apply_observable(phi, state.n_qubits, mixer)
-    return float(-2.0 * np.vdot(state.amplitudes, a_phi).imag + 0.0)
+    amps, n = state.amplitudes, state.n_qubits
+    if diag.shape != amps.shape:
+        raise StateError(f"diag length {diag.size} != 2^{n}")
+    groups = mixer._single_flips
+    top = mixer.max_qubit()
+    if top >= n:
+        raise StateError(f"mixer touches qubit {top} but n={n}")
+    total = 0.0
+    # d1 - d0 can be negative, so an unsigned cut table needs a signed difference.
+    signed = np.result_type(diag.dtype, np.int8)
+    for (j, letter), group in groups.items():
+        a0, a1 = _halves(amps, j)
+        d0, d1 = _halves(diag, j)
+        w = a0.conj()
+        w *= a1
+        weighted = (w.real if letter == "Y" else w.imag) * np.subtract(d1, d0, dtype=signed)
+        scale = 2.0 if letter == "Y" else -2.0
+        for c, z_bits in group:
+            total += scale * c * _signed_sum(weighted, z_bits)
+    return float(total + 0.0)

@@ -14,7 +14,8 @@ from lyapcut.dynamics import (
     run_light_cone,
     run_qaoa_feedback,
 )
-from lyapcut.statevector import feedback_observable, init_plus, sum_yz
+from lyapcut import dynamics
+from lyapcut.statevector import StateError, feedback_observable, init_plus, sum_yz
 
 import dense_reference as dense
 
@@ -248,3 +249,62 @@ class TestAdaptiveMode:
         traces = run_light_cone(g, h, cfg, brute_force_max_cut(g))
         assert len(traces) == 5
         assert all(0 < tr.t <= 5 * cfg.dt for tr in traces)
+
+
+def counting(monkeypatch, name):
+    """Count calls of a kernel through the binding the round loop uses."""
+    calls = []
+    original = getattr(dynamics, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, name, wrapper)
+    return calls
+
+
+class TestRoundLoopKernels:
+    @pytest.mark.parametrize("runner, mixer_kernel", [(run_qaoa_feedback, "apply_rx"), (run_light_cone, "apply_ryz")])
+    def test_kernel_calls_per_round(self, monkeypatch, cubic10, runner, mixer_kernel):
+        # The benchmark times these kernels through the names the round loop calls.
+        g, h, oracle = cubic10
+        energies = counting(monkeypatch, "expectation_diagonal")
+        feedbacks = counting(monkeypatch, "feedback_observable")
+        gates = counting(monkeypatch, mixer_kernel)
+        seen = []
+        traces = runner(g, h, RunConfig(rounds=7), oracle, observer=lambda p, hf, one, two: seen.append(hf))
+        assert len(energies) == 7 + 1
+        assert len(feedbacks) == 7 + 1
+        gates_per_round = g.n if mixer_kernel == "apply_rx" else len(bfs_order(g).oriented_edges)
+        assert len(gates) == 7 * gates_per_round
+        assert seen == [h.m / 2] + [tr.hf_exp for tr in traces]
+
+    def test_energy_count_follows_early_stop(self, monkeypatch, cubic10):
+        g, h, oracle = cubic10
+        energies = counting(monkeypatch, "expectation_diagonal")
+        traces = run_qaoa_feedback(g, h, RunConfig(rounds=500), oracle, stop_at_true_ratio=0.7)
+        assert len(traces) < 500
+        assert len(energies) == len(traces) + 1
+
+    @pytest.mark.parametrize("kernel", ["feedback_observable", "expectation_diagonal"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_stops_the_run_at_its_round(self, monkeypatch, cubic10, kernel, bad):
+        g, h, oracle = cubic10
+        original = getattr(dynamics, kernel)
+        calls = []
+
+        def poisoned(*args, **kwargs):
+            calls.append(1)
+            # The third call measures the state after round 2.
+            return bad if len(calls) == 3 else original(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, kernel, poisoned)
+        with pytest.raises(StateError, match="round 2"):
+            run_qaoa_feedback(g, h, RunConfig(rounds=5), oracle)
+
+    def test_non_finite_initial_value_is_round_zero(self, monkeypatch, cubic10):
+        g, h, oracle = cubic10
+        monkeypatch.setattr(dynamics, "feedback_observable", lambda *args: math.nan)
+        with pytest.raises(StateError, match="round 0"):
+            run_light_cone(g, h, RunConfig(rounds=3), oracle)

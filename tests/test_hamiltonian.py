@@ -41,6 +41,12 @@ class TestBuildMaxcut:
         for x in rng.integers(0, 1 << 16, size=200):
             assert int(h.diag[x]) == naive_cut(int(x), g.edges)
 
+    def test_norm_computed_on_first_use_and_kept(self, petersen):
+        h = build_maxcut(petersen)
+        assert "hf_norm" not in vars(h)
+        assert error_constants(h, [1.0], [1.0]).hf_norm == 12.0
+        assert vars(h)["hf_norm"] == 12.0
+
     def test_norm_agrees_with_oracle(self):
         for g in [gen_random_regular(10, 3, seed=1), gen_erdos_renyi(9, 0.5, seed=5)]:
             assert build_maxcut(g).hf_norm == brute_force_max_cut(g).optimum

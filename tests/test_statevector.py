@@ -20,6 +20,8 @@ from lyapcut.statevector import (
     StateVector,
 )
 
+from lyapcut.graphs import gen_erdos_renyi
+
 import dense_reference as dense
 
 
@@ -273,6 +275,134 @@ class TestFeedbackObservable:
                 got = feedback_observable(s, mixer, diag)
                 expect = dense.commutator_expectation(s.amplitudes, a_mat, h_mat)
                 assert abs(got - expect) < 1e-10
+
+
+def dense_feedback(vec, pairs, diag):
+    n = int(np.log2(len(vec)))
+    return dense.commutator_expectation(vec, dense.dense_observable(n, pairs), np.diag(np.asarray(diag, dtype=complex)))
+
+
+def check_feedback(n, pairs, diag, rng, trials=3):
+    mixer = ObservableTerms.from_pairs(pairs)
+    for _ in range(trials):
+        s = random_sv(n, rng)
+        got = feedback_observable(s, mixer, diag)
+        assert abs(got - dense_feedback(s.amplitudes, pairs, diag)) < 1e-10
+
+
+class TestClosedFormFeedback:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_both_mixers_on_random_graphs(self, n):
+        rng = np.random.default_rng(100 + n)
+        edges = list(gen_erdos_renyi(n, 0.5, seed=n).edges) if n > 1 else []
+        # Without edges the cut table is all zeros; use a field-like table instead.
+        diag = naive_cut_table(n, edges) if edges else np.arange(1 << n)
+        check_feedback(n, [(1.0, {j: "X"}) for j in range(n)], diag, rng)
+        if edges:
+            check_feedback(n, [(1.0, {j: "Y", k: "Z"}) for j, k in edges], diag, rng)
+
+    @pytest.mark.parametrize("qubits", [(0, 1, 2, 3, 4), (1, 3, 6), (0, 5), (6,), tuple(range(7))])
+    def test_weighted_x_mixer(self, qubits):
+        rng = np.random.default_rng(sum(qubits))
+        n = 7
+        diag = naive_cut_table(n, [(0, 1), (1, 2), (2, 5), (3, 6), (4, 5), (0, 6)])
+        pairs = [(float(rng.normal()), {q: "X"}) for q in qubits]
+        check_feedback(n, pairs, diag, rng)
+
+    def test_repeated_x_terms_add_up(self):
+        rng = np.random.default_rng(20)
+        diag = naive_cut_table(5, [(0, 1), (1, 4), (2, 3)])
+        check_feedback(5, [(0.3, {4: "X"}), (0.9, {1: "X"}), (-1.4, {4: "X"})], diag, rng)
+
+    @pytest.mark.parametrize("j, k", [(0, 3), (3, 0), (2, 4), (4, 2)])
+    def test_yz_with_y_above_and_below_z(self, j, k):
+        rng = np.random.default_rng(21 + 5 * j + k)
+        diag = naive_cut_table(5, [(0, 3), (2, 4), (1, 2), (3, 4)])
+        check_feedback(5, [(0.8, {j: "Y", k: "Z"})], diag, rng)
+
+    def test_y_with_two_z_partners(self):
+        rng = np.random.default_rng(22)
+        diag = naive_cut_table(6, [(0, 2), (2, 5), (1, 4), (3, 5)])
+        check_feedback(6, [(-0.6, {2: "Y", 0: "Z", 5: "Z"}), (1.1, {4: "Y", 1: "Z", 5: "Z"})], diag, rng)
+
+    def test_xz_term(self):
+        rng = np.random.default_rng(23)
+        diag = naive_cut_table(5, [(0, 1), (1, 3), (2, 4)])
+        check_feedback(5, [(0.7, {1: "X", 3: "Z"}), (-0.4, {3: "X", 0: "Z", 4: "Z"})], diag, rng)
+
+    def test_mixed_kinds_in_one_mixer(self):
+        rng = np.random.default_rng(24)
+        diag = naive_cut_table(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
+        pairs = [(0.5, {0: "X"}), (1.2, {5: "X"}), (0.3, {1: "Y"}), (-0.9, {1: "Y", 4: "Z"}),
+                 (0.4, {2: "X", 0: "Z"}), (2.0, {3: "Z"}), (0.1, {})]
+        check_feedback(6, pairs, diag, rng)
+
+    def test_general_real_diagonal(self):
+        rng = np.random.default_rng(25)
+        diag = rng.normal(size=1 << 6)
+        pairs = [(1.0, {j: "X"}) for j in range(6)] + [(0.7, {2: "Y", 4: "Z"}), (-0.2, {5: "X", 0: "Z"})]
+        check_feedback(6, pairs, diag, rng)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_x_mixer_is_exactly_zero_on_plus_state(self, n):
+        diag = naive_cut_table(n, [(j, j + 1) for j in range(n - 1)])
+        weighted = ObservableTerms.from_pairs([(0.5 + j, {j: "X"}) for j in range(n)])
+        assert feedback_observable(init_plus(n), sum_x(n), diag) == 0.0
+        assert feedback_observable(init_plus(n), weighted, diag) == 0.0
+
+    def test_term_flipping_two_qubits_rejected(self):
+        s = init_plus(3)
+        diag = naive_cut_table(3, [(0, 1)])
+        for ops in ({0: "X", 1: "X"}, {0: "Y", 2: "X"}, {0: "Y", 1: "Y", 2: "Z"}):
+            mixer = ObservableTerms.from_pairs([(0.5, {1: "X"}), (1.0, ops)])
+            for _ in range(2):
+                with pytest.raises(StateError):
+                    feedback_observable(s, mixer, diag)
+
+    def test_qubit_out_of_range_rejected(self):
+        with pytest.raises(StateError):
+            feedback_observable(init_plus(2), sum_x(3), naive_cut_table(2, [(0, 1)]))
+
+
+class TestStridedApplyObservable:
+    def test_mixed_strings_match_dense(self):
+        rng = np.random.default_rng(26)
+        n = 5
+        pairs = [(0.4, {0: "X", 2: "Y", 4: "Z"}), (-1.1, {1: "Y", 3: "Y"}), (0.9, {4: "X", 3: "Z", 0: "Y"}),
+                 (0.25, {2: "Z", 1: "Z"}), (1.7, {3: "X"}), (-0.5, {})]
+        vec = dense.random_state(n, rng)
+        expect = dense.dense_observable(n, pairs) @ vec
+        got = apply_observable(vec, n, ObservableTerms.from_pairs(pairs))
+        assert np.max(np.abs(got - expect)) < 1e-10
+
+    @pytest.mark.parametrize("letter", ["X", "Y", "Z"])
+    def test_each_letter_on_each_qubit(self, letter):
+        rng = np.random.default_rng(27)
+        vec = dense.random_state(4, rng)
+        for q in range(4):
+            expect = dense.op_on(4, {q: letter}) @ vec
+            got = apply_observable(vec, 4, ObservableTerms.from_pairs([(1.0, {q: letter})]))
+            assert np.max(np.abs(got - expect)) < 1e-10
+
+    def test_real_input_for_x_and_z_strings(self):
+        rng = np.random.default_rng(29)
+        n = 4
+        vec = rng.normal(size=1 << n)
+        pairs = [(0.6, {0: "X", 3: "X"}), (-1.3, {1: "Z", 2: "X"}), (0.2, {})]
+        got = apply_observable(vec, n, ObservableTerms.from_pairs(pairs))
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - dense.dense_observable(n, pairs) @ vec)) < 1e-10
+
+    def test_input_left_unchanged(self):
+        rng = np.random.default_rng(28)
+        vec = dense.random_state(3, rng)
+        before = vec.copy()
+        apply_observable(vec, 3, ObservableTerms.from_pairs([(1.0, {0: "Y", 1: "Z", 2: "X"})]))
+        assert np.array_equal(vec, before)
+
+    def test_qubit_out_of_range_rejected(self):
+        with pytest.raises(StateError):
+            apply_observable(init_plus(2).amplitudes, 2, ObservableTerms.from_pairs([(1.0, {2: "Z"})]))
 
 
 class TestNormAndDump:
