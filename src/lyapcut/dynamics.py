@@ -7,7 +7,12 @@ trace row with the post-step energy. The energy after one round is the
 energy before the next, so <H_f> is measured once per round plus once on the
 initial plus state. The first measurement happens on the initial plus state,
 so round 1 of the transverse-field ansatz applies an identity mixer layer.
-A NaN or infinite feedback value or energy stops the run with StateError.
+A NaN or infinite feedback value or energy stops the run with StateError, and
+so does a squared norm that drifts from 1 by more than NORM_TOL, checked
+every NORM_CHECK_EVERY rounds and after the last one.
+
+Both loops evolve the mirrored half of the state (see statevector): every
+layer and both mixers commute with the global bit flip, and so does |+>.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ from .statevector import (
 )
 
 ANSATZE = ("qaoa_feedback", "light_cone")
+NORM_CHECK_EVERY = 64
+NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -149,7 +156,7 @@ def _run_loop(
     stop_at_true_ratio: Optional[float] = None,
 ) -> list[StepTrace]:
     n, m = g.n, h.m
-    state = init_plus(n, cap=cfg.state_cap)
+    state = init_plus(n, cap=cfg.state_cap, mirrored=True)
     one = OneParamTracker()
     two = TwoParamTracker()
     optimum = float(oracle.optimum) if oracle is not None else None
@@ -192,6 +199,8 @@ def _run_loop(
         o_cur = feedback_observable(state, mixer, h.diag)
         hf_after = expectation_diagonal(state, h.diag)
         _check_finite(p, o_cur, hf_after)
+        if p % NORM_CHECK_EVERY == 0:
+            _check_norm(p, state)
         t_elapsed = t_elapsed + dt_p if cfg.adaptive_dt else p * cfg.dt
         true_ratio = hf_after / optimum if optimum is not None else None
         traces.append(
@@ -213,6 +222,7 @@ def _run_loop(
             observer(p, hf_after, one, two)
         if stop_at_true_ratio is not None and true_ratio is not None and true_ratio >= stop_at_true_ratio:
             break
+    _check_norm(len(traces), state)
     return traces
 
 
@@ -220,6 +230,13 @@ def _check_finite(p: int, o_value: float, hf_value: float) -> None:
     """Stop a run whose feedback value or energy after round p is NaN or infinite."""
     if not (math.isfinite(o_value) and math.isfinite(hf_value)):
         raise StateError(f"non-finite value after round {p}: O={o_value}, <H_f>={hf_value}")
+
+
+def _check_norm(p: int, state) -> None:
+    """Stop a run whose squared norm after round p has drifted from 1 by more than NORM_TOL."""
+    drift = abs(state.norm() ** 2 - 1.0)
+    if not drift <= NORM_TOL:
+        raise StateError(f"norm drift {drift:.3e} after round {p} exceeds {NORM_TOL:g}")
 
 
 def _adaptive_dt(h, cfg, two, alpha, o_cur, hf_before, eta_coefficients, mixer_unit_count):

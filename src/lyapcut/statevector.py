@@ -3,6 +3,28 @@
 Convention: qubit j is bit j of the basis index, least-significant bit first.
 All gates act in place on the amplitude buffer and preserve the norm exactly
 up to float rounding.
+
+Mirrored states. A state fixed by the global flip X^n, psi(x) = psi(~x), is
+stored as its half h = psi[:2^(n-1)], the amplitudes with bit n-1 = 0; the
+other half is h[::-1]. The cut Hamiltonian, every X_j and every Y_j Z_k
+commute with X^n and |+> is fixed by it, so both feedback loops evolve only
+h. On a mirrored state:
+
+- gates and terms on qubits below n-1 run the full-state code on h as an
+  (n-1)-qubit array, and feedback and <H_f> are doubled for the mirror half;
+- a Z on qubit n-1 is +1 on h;
+- a flip of qubit n-1 maps x to 2^(n-1)-1-x inside h, because
+  psi(x + 2^(n-1)) = h[2^(n-1)-1-x]. RX and feedback terms on qubit n-1
+  pair the lower quarter of h with the upper quarter reversed and run the
+  same pair code as the other qubits, with feedback doubled like theirs;
+  RYZ with Y on qubit n-1 forms h <- c h - s z(x) h[::-1], the same pairs
+  seen from both ends;
+- a diagonal table is still passed as the full 2^n table and must be
+  complement-symmetric, diag == diag[::-1]; the kernels read diag[:2^(n-1)].
+  Every cut table is, because a cut does not change when all sides swap;
+- a mixer term that anticommutes with X^n (an odd number of Y and Z
+  letters) and apply_rzz raise StateError; expectation_pauli works on the
+  rebuilt full state.
 """
 
 from __future__ import annotations
@@ -26,20 +48,35 @@ class StateError(ValueError):
 
 @dataclass
 class StateVector:
-    """2^n complex amplitudes over the computational basis."""
+    """2^n complex amplitudes over the computational basis, or, when mirrored,
+    the 2^(n-1) amplitudes with bit n-1 = 0 of a flip-symmetric state."""
 
     n_qubits: int
     amplitudes: np.ndarray
+    mirrored: bool = False
+
+    def __post_init__(self) -> None:
+        if self.n_qubits < 1 + self.mirrored:
+            raise StateError(f"need n >= {1 + self.mirrored}, got n={self.n_qubits}")
+        size = 1 << (self.n_qubits - self.mirrored)
+        if self.amplitudes.shape != (size,):
+            raise StateError(f"need {size} amplitudes for n={self.n_qubits}, got shape {self.amplitudes.shape}")
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        scale = math.sqrt(2.0) if self.mirrored else 1.0
+        return scale * float(np.linalg.norm(self.amplitudes))
 
     def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy())
+        return StateVector(self.n_qubits, self.amplitudes.copy(), self.mirrored)
+
+    def full(self) -> np.ndarray:
+        """All 2^n amplitudes, as a new array."""
+        h = self.amplitudes
+        return np.concatenate((h, h[::-1])) if self.mirrored else h.copy()
 
     def to_json_list(self) -> list[list[float]]:
         """Debug dump: index-ordered [re, im] pairs."""
-        return [[float(a.real), float(a.imag)] for a in self.amplitudes]
+        return [[float(a.real), float(a.imag)] for a in self.full()]
 
 
 @dataclass(frozen=True)
@@ -77,12 +114,19 @@ class ObservableTerms:
         return max((q for t in self.terms for q, _ in t.ops), default=-1)
 
     @cached_property
+    def flip_symmetric(self) -> bool:
+        """True when every term commutes with the global flip X^n, i.e. has an
+        even number of Y and Z letters."""
+        return all(sum(p != "X" for _, p in t.ops) % 2 == 0 for t in self.terms)
+
+    @cached_property
     def _single_flips(self) -> dict[tuple[int, str], list[tuple[float, tuple[int, ...]]]]:
         """Terms that flip one qubit j, grouped by (j, letter), for feedback_observable.
 
         Each entry holds the coefficient and the Z qubits as bits of the pair
-        index, which is the basis index with bit j removed. Pure-Z terms are
-        left out. A term that flips two or more qubits raises StateError.
+        index, which is the basis index with bit j removed, in ascending
+        order. Pure-Z terms are left out. A term that flips two or more qubits
+        raises StateError.
         """
         groups: dict[tuple[int, str], list[tuple[float, tuple[int, ...]]]] = {}
         for term in self.terms:
@@ -91,7 +135,7 @@ class ObservableTerms:
                 raise StateError(f"mixer term {term.ops} flips more than one qubit")
             if flips:
                 (j, letter), = flips
-                z_bits = tuple(q - (q > j) for q, p in term.ops if p == "Z")
+                z_bits = tuple(sorted(q - (q > j) for q, p in term.ops if p == "Z"))
                 groups.setdefault((j, letter), []).append((term.coefficient, z_bits))
         return groups
 
@@ -106,12 +150,12 @@ def sum_yz(oriented_edges) -> ObservableTerms:
     return ObservableTerms.from_pairs([(1.0, {j: "Y", k: "Z"}) for j, k in oriented_edges])
 
 
-def init_plus(n: int, cap: int = STATE_CAP_DEFAULT) -> StateVector:
+def init_plus(n: int, cap: int = STATE_CAP_DEFAULT, mirrored: bool = False) -> StateVector:
     """Uniform superposition: every amplitude equals 2^(-n/2)."""
-    if not 1 <= n <= cap:
-        raise StateError(f"need 1 <= n <= {cap}, got n={n}")
-    amp = np.full(1 << n, 2.0 ** (-n / 2), dtype=np.complex128)
-    return StateVector(n_qubits=n, amplitudes=amp)
+    if not 1 + mirrored <= n <= cap:
+        raise StateError(f"need {1 + mirrored} <= n <= {cap}, got n={n}")
+    amp = np.full(1 << (n - mirrored), 2.0 ** (-n / 2), dtype=np.complex128)
+    return StateVector(n_qubits=n, amplitudes=amp, mirrored=mirrored)
 
 
 def _check_qubit(state: StateVector, q: int) -> None:
@@ -124,11 +168,36 @@ def _halves(amps: np.ndarray, q: int):
     return view[:, 0, :], view[:, 1, :]
 
 
+def _mirror_top(state: StateVector) -> int:
+    """Qubit n-1 of a mirrored state, whose flip maps the stored half onto its mirror; -1 for a full state."""
+    return state.n_qubits - 1 if state.mirrored else -1
+
+
+def _pairs(values: np.ndarray, j: int, top: int):
+    """The entries that a flip of qubit j pairs, as two equal-length views.
+
+    Qubit top is n-1 of a mirrored state: its flip maps x to 2^(n-1)-1-x, so
+    the lower quarter pairs with the upper quarter reversed, each pair once.
+    """
+    if j == top:
+        quarter = values.size // 2
+        return values[:quarter], values[quarter:][::-1]
+    return _halves(values, j)
+
+
+def _diag_for(state: StateVector, diag) -> np.ndarray:
+    """The part of a full 2^n table that lines up with the stored amplitudes."""
+    diag = np.asarray(diag)
+    if diag.shape != (1 << state.n_qubits,):
+        raise StateError(f"diag length {diag.size} != 2^{state.n_qubits}")
+    return diag[: state.amplitudes.size]
+
+
 def apply_rx(state: StateVector, qubit: int, theta: float) -> StateVector:
     """exp(-i theta X) on one qubit, i.e. [[cos, -i sin], [-i sin, cos]]."""
     _check_qubit(state, qubit)
     c, s = math.cos(theta), math.sin(theta)
-    a0, a1 = _halves(state.amplitudes, qubit)
+    a0, a1 = _pairs(state.amplitudes, qubit, _mirror_top(state))
     t0 = c * a0 - 1j * s * a1
     a1 *= c
     a1 -= 1j * s * a0
@@ -138,6 +207,8 @@ def apply_rx(state: StateVector, qubit: int, theta: float) -> StateVector:
 
 def apply_rzz(state: StateVector, q1: int, q2: int, theta: float) -> StateVector:
     """exp(-i theta Z Z): equal bits pick up e^{-i theta}, unequal e^{+i theta}."""
+    if state.mirrored:
+        raise StateError("apply_rzz needs a full state")
     _check_qubit(state, q1)
     _check_qubit(state, q2)
     if q1 == q2:
@@ -160,19 +231,36 @@ def apply_ryz(state: StateVector, qy: int, qz: int, theta: float) -> StateVector
     if qy == qz:
         raise StateError("ryz needs two distinct qubits")
     c, s = math.cos(theta), math.sin(theta)
+    h, top = state.amplitudes, _mirror_top(state)
+    if qy == top:
+        # h <- c h - s z(x) h[::-1]: the partner of x is h[::-1][x], the Z sign is read on x.
+        mirror = h[::-1] * -s
+        mirror.reshape(-1, 2, 1 << qz)[:, 1, :] *= -1.0
+        h *= c
+        h += mirror
+        return state
+    if qz == top:
+        # Z on qubit n-1 is +1 on the stored half: a plain Y rotation.
+        _rotate_y(*_halves(h, qy), c, s)
+        return state
     hi, lo = max(qy, qz), min(qy, qz)
-    view = state.amplitudes.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    view = h.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
     for bz in (0, 1):
         sign = 1.0 - 2.0 * bz
         if qy == hi:
             a0, a1 = view[:, 0, :, bz, :], view[:, 1, :, bz, :]
         else:
             a0, a1 = view[:, bz, :, 0, :], view[:, bz, :, 1, :]
-        t0 = c * a0 - (s * sign) * a1
-        a1 *= c
-        a1 += (s * sign) * a0
-        a0[...] = t0
+        _rotate_y(a0, a1, c, s * sign)
     return state
+
+
+def _rotate_y(a0: np.ndarray, a1: np.ndarray, c: float, s: float) -> None:
+    """exp(-i theta Y) on the pairs (a0, a1) in place: [[c, -s], [s, c]]."""
+    t0 = c * a0 - s * a1
+    a1 *= c
+    a1 += s * a0
+    a0[...] = t0
 
 
 def apply_diagonal_phase(state: StateVector, diag: np.ndarray, gamma: float) -> StateVector:
@@ -181,9 +269,7 @@ def apply_diagonal_phase(state: StateVector, diag: np.ndarray, gamma: float) -> 
     Integer-valued tables go through a phase lookup so the per-step cost is one
     gather instead of a full complex exponential sweep.
     """
-    diag = np.asarray(diag)
-    if diag.shape != state.amplitudes.shape:
-        raise StateError(f"diag length {diag.size} != 2^{state.n_qubits}")
+    diag = _diag_for(state, diag)
     if np.issubdtype(diag.dtype, np.integer):
         table = np.exp(-1j * gamma * np.arange(int(diag.max()) + 1))
         state.amplitudes *= table[diag]
@@ -193,12 +279,11 @@ def apply_diagonal_phase(state: StateVector, diag: np.ndarray, gamma: float) -> 
 
 
 def expectation_diagonal(state: StateVector, diag: np.ndarray) -> float:
-    diag = np.asarray(diag)
-    if diag.shape != state.amplitudes.shape:
-        raise StateError(f"diag length {diag.size} != 2^{state.n_qubits}")
+    diag = _diag_for(state, diag)
     a = state.amplitudes
     probs = a.real * a.real + a.imag * a.imag
-    return float(probs @ diag)
+    value = float(probs @ diag)
+    return 2.0 * value if state.mirrored else value
 
 
 def apply_observable(amps: np.ndarray, n: int, obs: ObservableTerms) -> np.ndarray:
@@ -229,8 +314,9 @@ def apply_observable(amps: np.ndarray, n: int, obs: ObservableTerms) -> np.ndarr
 def expectation_pauli(state: StateVector, obs: ObservableTerms) -> float:
     if obs.max_qubit() >= state.n_qubits:
         raise StateError("observable touches qubits outside the state")
-    applied = apply_observable(state.amplitudes, state.n_qubits, obs)
-    return float(np.vdot(state.amplitudes, applied).real)
+    amps = state.full() if state.mirrored else state.amplitudes
+    applied = apply_observable(amps, state.n_qubits, obs)
+    return float(np.vdot(amps, applied).real)
 
 
 def _signed_sum(values: np.ndarray, bits) -> float:
@@ -252,26 +338,34 @@ def feedback_observable(state: StateVector, mixer: ObservableTerms, diag: np.nda
       and an X term gives -2c sum s_S Im(conj(a0) a1) Delta_j.
     - Pure-Z terms commute with D and give 0.
 
-    A term that flips two or more qubits raises StateError.
+    A term that flips two or more qubits raises StateError, and so does, on a
+    mirrored state, a term that anticommutes with the global flip.
+    On a mirrored state every pair stands for itself and its mirror image,
+    and so counts twice.
     """
-    diag = np.asarray(diag)
     amps, n = state.amplitudes, state.n_qubits
-    if diag.shape != amps.shape:
-        raise StateError(f"diag length {diag.size} != 2^{n}")
+    diag = _diag_for(state, diag)
     groups = mixer._single_flips
-    top = mixer.max_qubit()
-    if top >= n:
-        raise StateError(f"mixer touches qubit {top} but n={n}")
+    highest = mixer.max_qubit()
+    if highest >= n:
+        raise StateError(f"mixer touches qubit {highest} but n={n}")
+    if state.mirrored and not mixer.flip_symmetric:
+        raise StateError("mixer has a term that anticommutes with the global flip; needs a full state")
+    top = _mirror_top(state)
+    # Bit n-2 of a mirrored pair index is qubit n-1 for j < n-1, and qubit n-2
+    # on the lower quarter for j = n-1: a Z there is +1 either way.
+    mirror_scale, z_plus = (2.0, n - 2) if state.mirrored else (1.0, None)
     total = 0.0
     # d1 - d0 can be negative, so an unsigned cut table needs a signed difference.
     signed = np.result_type(diag.dtype, np.int8)
     for (j, letter), group in groups.items():
-        a0, a1 = _halves(amps, j)
-        d0, d1 = _halves(diag, j)
+        (a0, a1), (d0, d1) = _pairs(amps, j, top), _pairs(diag, j, top)
         w = a0.conj()
         w *= a1
         weighted = (w.real if letter == "Y" else w.imag) * np.subtract(d1, d0, dtype=signed)
-        scale = 2.0 if letter == "Y" else -2.0
+        scale = (2.0 if letter == "Y" else -2.0) * mirror_scale
         for c, z_bits in group:
+            if z_bits and z_bits[-1] == z_plus:
+                z_bits = z_bits[:-1]
             total += scale * c * _signed_sum(weighted, z_bits)
     return float(total + 0.0)

@@ -257,7 +257,7 @@ def counting(monkeypatch, name):
     original = getattr(dynamics, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, name, wrapper)
@@ -279,6 +279,9 @@ class TestRoundLoopKernels:
         gates_per_round = g.n if mixer_kernel == "apply_rx" else len(bfs_order(g).oriented_edges)
         assert len(gates) == 7 * gates_per_round
         assert seen == [h.m / 2] + [tr.hf_exp for tr in traces]
+        # One path: every kernel call sees the mirrored half, never a full state.
+        for args in energies + feedbacks + gates:
+            assert args[0].mirrored and args[0].amplitudes.shape == (1 << (g.n - 1),)
 
     def test_energy_count_follows_early_stop(self, monkeypatch, cubic10):
         g, h, oracle = cubic10
@@ -308,3 +311,19 @@ class TestRoundLoopKernels:
         monkeypatch.setattr(dynamics, "feedback_observable", lambda *args: math.nan)
         with pytest.raises(StateError, match="round 0"):
             run_light_cone(g, h, RunConfig(rounds=3), oracle)
+
+
+class TestNormDrift:
+    @pytest.mark.parametrize("rounds, failing_round", [(100, dynamics.NORM_CHECK_EVERY), (10, 10)])
+    def test_drift_stops_the_run_at_its_check(self, monkeypatch, cubic10, rounds, failing_round):
+        g, h, oracle = cubic10
+        original = dynamics.apply_rx
+
+        def leaky(state, qubit, theta):
+            original(state, qubit, theta)
+            state.amplitudes *= 1.0 + 1e-6
+            return state
+
+        monkeypatch.setattr(dynamics, "apply_rx", leaky)
+        with pytest.raises(StateError, match=f"norm drift .* after round {failing_round} "):
+            run_qaoa_feedback(g, h, RunConfig(rounds=rounds), oracle)

@@ -34,6 +34,20 @@ class TestBuildMaxcut:
         assert np.array_equal(h.diag, h.diag[idx ^ full])
         assert h.diag.min() >= 0 and h.diag.max() <= petersen.m
 
+    @pytest.mark.parametrize("family", ["regular3", "erdos_renyi", "bipartite"])
+    def test_every_family_table_is_complement_symmetric(self, family):
+        # Mirrored states read diag[:2^(n-1)] and rely on diag == diag[::-1].
+        for seed in range(3):
+            for n in (4, 6, 8, 10):
+                if family == "regular3":
+                    g = gen_random_regular(n, 3, seed=seed)
+                elif family == "erdos_renyi":
+                    g = gen_erdos_renyi(n, 0.5, seed=seed)
+                else:
+                    g = gen_bipartite(n // 2, n - n // 2, 0.6, seed=seed)
+                diag = build_maxcut(g).diag
+                assert np.array_equal(diag, diag[::-1])
+
     def test_matches_naive_recount_on_random_entries(self):
         g = gen_erdos_renyi(16, 0.5, seed=2)
         h = build_maxcut(g)

@@ -20,7 +20,8 @@ from lyapcut.statevector import (
     StateVector,
 )
 
-from lyapcut.graphs import gen_erdos_renyi
+from lyapcut.dynamics import bfs_order
+from lyapcut.graphs import Graph, gen_erdos_renyi
 
 import dense_reference as dense
 
@@ -432,3 +433,170 @@ class TestNormAndDump:
         assert len(dumped) == 4
         rebuilt = np.array([complex(re, im) for re, im in dumped])
         assert np.allclose(rebuilt, s.amplitudes, atol=1e-15)
+
+
+def random_mirrored(n, rng):
+    """A random flip-symmetric state, psi = concat(h, h[::-1]), stored as its half h."""
+    h = dense.random_state(n - 1, rng) / math.sqrt(2.0)
+    return StateVector(n, h, mirrored=True)
+
+
+def connected_edges(n, rng):
+    """A path through all n vertices plus random chords, as sorted pairs."""
+    edges = {(j, j + 1) for j in range(n - 1)}
+    for u, v in rng.choice(n, size=(n, 2)):
+        if u != v:
+            edges.add((int(min(u, v)), int(max(u, v))))
+    return sorted(edges)
+
+
+def symmetric_float_diag(n, rng):
+    d = rng.normal(size=1 << n)
+    return d + d[::-1]
+
+
+def assert_mirror_matches(s, expect):
+    """The stored half rebuilds the dense reference vector and stays symmetric."""
+    assert s.mirrored and s.amplitudes.shape == (1 << (s.n_qubits - 1),)
+    assert np.max(np.abs(s.full() - expect)) < 1e-10
+    assert np.max(np.abs(expect - expect[::-1])) < 1e-10
+
+
+MIRROR_SIZES = range(2, 9)
+
+
+class TestMirroredState:
+    @pytest.mark.parametrize("n", MIRROR_SIZES)
+    def test_full_norm_and_copy(self, n):
+        rng = np.random.default_rng(200 + n)
+        s = random_mirrored(n, rng)
+        full = s.full()
+        assert np.array_equal(full, np.concatenate((s.amplitudes, s.amplitudes[::-1])))
+        assert abs(s.norm() - np.linalg.norm(full)) < 1e-12
+        assert abs(s.norm() - 1.0) < 1e-12
+        c = s.copy()
+        assert c.mirrored and np.array_equal(c.full(), full)
+        c.amplitudes[0] += 1.0
+        assert np.array_equal(s.full(), full)
+        assert len(s.to_json_list()) == 1 << n
+
+    @pytest.mark.parametrize("n", MIRROR_SIZES)
+    def test_init_plus_is_half_of_the_full_state(self, n):
+        half, full = init_plus(n, mirrored=True), init_plus(n)
+        assert half.amplitudes.size == 1 << (n - 1)
+        assert np.array_equal(half.full(), full.amplitudes)
+        assert abs(half.norm() - 1.0) < 1e-12
+
+    def test_amplitude_count_checked(self):
+        with pytest.raises(StateError):
+            init_plus(1, mirrored=True)
+        with pytest.raises(StateError):
+            StateVector(3, np.zeros(8, dtype=complex), mirrored=True)
+        with pytest.raises(StateError):
+            StateVector(3, np.zeros(4, dtype=complex))
+
+    @pytest.mark.parametrize("n", MIRROR_SIZES)
+    def test_rx_on_every_qubit(self, n):
+        rng = np.random.default_rng(210 + n)
+        for q in range(n):
+            s = random_mirrored(n, rng)
+            theta = float(rng.uniform(-1.5, 1.5))
+            expect = dense.dense_rx(n, q, theta) @ s.full()
+            apply_rx(s, q, theta)
+            assert_mirror_matches(s, expect)
+
+    @pytest.mark.parametrize("n", MIRROR_SIZES)
+    def test_ryz_on_top_and_interior_pairs(self, n):
+        rng = np.random.default_rng(220 + n)
+        top = n - 1
+        pairs = [(j, top) for j in range(top)] + [(top, k) for k in range(top)]
+        pairs += [(j, k) for j in range(top) for k in range(top) if j != k]
+        for qy, qz in pairs:
+            s = random_mirrored(n, rng)
+            theta = float(rng.uniform(-1.5, 1.5))
+            expect = dense.dense_ryz(n, qy, qz, theta) @ s.full()
+            apply_ryz(s, qy, qz, theta)
+            assert_mirror_matches(s, expect)
+
+    @pytest.mark.parametrize("n", MIRROR_SIZES)
+    def test_diagonal_phase_and_expectation(self, n):
+        rng = np.random.default_rng(230 + n)
+        for diag in (naive_cut_table(n, connected_edges(n, rng)), symmetric_float_diag(n, rng)):
+            s = random_mirrored(n, rng)
+            vec = s.full()
+            assert abs(expectation_diagonal(s, diag) - float((vec.conj() @ np.diag(diag) @ vec).real)) < 1e-10
+            gamma = float(rng.uniform(-1.0, 1.0))
+            expect = dense.dense_diag_phase(diag, gamma) @ vec
+            apply_diagonal_phase(s, diag, gamma)
+            assert_mirror_matches(s, expect)
+
+    @pytest.mark.parametrize("n", MIRROR_SIZES)
+    def test_feedback_for_both_mixers(self, n):
+        rng = np.random.default_rng(240 + n)
+        edges = connected_edges(n, rng)
+        diag = naive_cut_table(n, edges)
+        oriented = bfs_order(Graph.from_edges(n, edges)).oriented_edges
+        for pairs in ([(1.0, {j: "X"}) for j in range(n)], [(1.0, {j: "Y", k: "Z"}) for j, k in oriented]):
+            mixer = ObservableTerms.from_pairs(pairs)
+            for _ in range(3):
+                s = random_mirrored(n, rng)
+                assert abs(feedback_observable(s, mixer, diag) - dense_feedback(s.full(), pairs, diag)) < 1e-10
+
+    @pytest.mark.parametrize("n", MIRROR_SIZES)
+    def test_feedback_for_weighted_even_terms_with_z_partners(self, n):
+        rng = np.random.default_rng(250 + n)
+        top = n - 1
+        pairs = [(float(rng.normal()), {j: "X"}) for j in range(n)]
+        pairs += [(float(rng.normal()), {top: "Y", 0: "Z"}), (float(rng.normal()), {0: "Y", top: "Z"})]
+        if n >= 3:
+            pairs += [(float(rng.normal()), {1: "X", 0: "Z", top: "Z"}),
+                      (float(rng.normal()), {top: "X", 0: "Z", 1: "Z"}),
+                      (float(rng.normal()), {1: "Y", 0: "Z"})]
+        if n >= 4:
+            pairs += [(float(rng.normal()), {2: "Y", 0: "Z", 1: "Z", top: "Z"}),
+                      (float(rng.normal()), {top: "Y", 0: "Z", 1: "Z", 2: "Z"})]
+        for diag in (naive_cut_table(n, connected_edges(n, rng)), symmetric_float_diag(n, rng)):
+            s = random_mirrored(n, rng)
+            got = feedback_observable(s, ObservableTerms.from_pairs(pairs), diag)
+            assert abs(got - dense_feedback(s.full(), pairs, diag)) < 1e-10
+
+    def test_feedback_is_zero_on_mirrored_plus_state(self):
+        n = 6
+        diag = naive_cut_table(n, [(j, j + 1) for j in range(n - 1)])
+        assert feedback_observable(init_plus(n, mirrored=True), sum_x(n), diag) == 0.0
+
+    @pytest.mark.parametrize("ops", [{0: "Y"}, {3: "Y"}, {1: "X", 3: "Z"}, {3: "X", 0: "Z"},
+                                     {2: "Y", 0: "Z", 3: "Z"}, {0: "Z"}])
+    def test_terms_that_anticommute_with_the_flip_rejected(self, ops):
+        s = init_plus(4, mirrored=True)
+        diag = naive_cut_table(4, [(0, 1), (1, 2), (2, 3)])
+        mixer = ObservableTerms.from_pairs([(1.0, {0: "X"}), (0.5, ops)])
+        assert not mixer.flip_symmetric
+        with pytest.raises(StateError):
+            feedback_observable(s, mixer, diag)
+        # The full state accepts the same mixer.
+        feedback_observable(init_plus(4), mixer, diag)
+
+    def test_rzz_rejected(self):
+        with pytest.raises(StateError):
+            apply_rzz(init_plus(3, mirrored=True), 0, 2, 0.3)
+
+    def test_diag_must_have_full_length(self):
+        n = 4
+        s = init_plus(n, mirrored=True)
+        for bad in (naive_cut_table(n, [(0, 1)])[: 1 << (n - 1)], np.zeros(1 << (n + 1), dtype=np.int64)):
+            with pytest.raises(StateError):
+                expectation_diagonal(s, bad)
+            with pytest.raises(StateError):
+                apply_diagonal_phase(s, bad, 0.1)
+            with pytest.raises(StateError):
+                feedback_observable(s, sum_x(n), bad)
+
+    def test_expectation_pauli_uses_the_full_state(self):
+        rng = np.random.default_rng(260)
+        n = 5
+        s = random_mirrored(n, rng)
+        pairs = [(0.4, {0: "X", 2: "Y", 4: "Z"}), (-1.1, {1: "Y", 3: "Y"}), (0.9, {4: "Z"})]
+        vec = s.full()
+        expect = float((vec.conj() @ dense.dense_observable(n, pairs) @ vec).real)
+        assert abs(expectation_pauli(s, ObservableTerms.from_pairs(pairs)) - expect) < 1e-10
