@@ -15,7 +15,7 @@ collapsed; callers freeze the tracker at its last valid value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .hamiltonian import NormBounds
@@ -35,7 +35,6 @@ class DenominatorCollapse(RuntimeError):
 class OneParamTracker:
     lam: float = 0.0
     lam0: float = 0.0
-    history: list[float] = field(default_factory=list)
     violations: int = 0
     last_violated: bool = False
 
@@ -78,9 +77,7 @@ def one_param_step(
     if gain < 0:
         tracker.violations += 1
         gain = 0.0
-    increment = gain / q_exp
-    tracker.lam += increment
-    tracker.history.append(increment)
+    tracker.lam += gain / q_exp
     return tracker
 
 

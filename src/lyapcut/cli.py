@@ -13,23 +13,16 @@ from .experiments import (
     ConvergenceRecord,
     PlotSeries,
     SuiteSpec,
+    atomic_write,
     convergence_experiment,
     emit_plot,
     fit_loglog,
     run_instance,
     run_suite,
+    write_summary,
     write_trace_csv,
-    _atomic_write,
-    _summary_dict,
 )
-from .graphs import (
-    Graph,
-    brute_force_max_cut,
-    gen_bipartite,
-    gen_erdos_renyi,
-    gen_random_regular,
-    load_graph,
-)
+from .graphs import Graph, brute_force_max_cut, load_graph, make_graph
 
 _FAMILY_ALIASES = {
     "regular3": "regular3",
@@ -40,6 +33,18 @@ _FAMILY_ALIASES = {
 
 _ANSATZ_ALIASES = {"qaoa": "qaoa_feedback", "qaoa_feedback": "qaoa_feedback",
                    "lightcone": "light_cone", "light_cone": "light_cone"}
+
+_GRAPH_SPEC_KEYS = ("n", "p", "seed", "d")
+_CONFIG_KEYS = ("family", "n_list", "instances_per_n", "dt", "rounds", "beta", "epsilon",
+                "adaptive_dt", "lightcone_feedback", "seed", "ansatz", "targets", "p",
+                "oracle_cap", "snapshot_steps", "exhaustive_cubic")
+_BETA_KEYS = ("c", "floor", "rate")
+
+
+def _reject_unknown(keys, known, where: str) -> None:
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise SystemExit(f"unknown key(s) {', '.join(unknown)} in {where}; known: {', '.join(known)}")
 
 
 def _resolve_graph(arg: str) -> Graph:
@@ -53,20 +58,17 @@ def _resolve_graph(arg: str) -> Graph:
     if family is None:
         raise SystemExit(f"unknown family in graph spec: {arg}")
     kv = dict(item.split("=", 1) for item in params.split(",") if item)
-    n = int(kv.get("n", "10"))
-    p = float(kv.get("p", "0.5"))
-    seed = int(kv.get("seed", "0"))
-    if family == "regular3":
-        return gen_random_regular(n, int(kv.get("d", "3")), seed)
-    if family == "erdos_renyi":
-        return gen_erdos_renyi(n, p, seed)
-    return gen_bipartite((n + 1) // 2, n // 2, p, seed)
+    _reject_unknown(kv, _GRAPH_SPEC_KEYS, f"graph spec {arg}")
+    return make_graph(family, int(kv.get("n", "10")), int(kv.get("seed", "0")),
+                      p=float(kv.get("p", "0.5")), degree=int(kv.get("d", "3")))
 
 
-def _config_from_file(path: str) -> tuple[SuiteSpec, dict]:
+def _config_from_file(path: str) -> SuiteSpec:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    _reject_unknown(raw, _CONFIG_KEYS, path)
     beta_raw = raw.get("beta", {})
+    _reject_unknown(beta_raw, _BETA_KEYS, f"{path} (beta)")
     beta = BetaParams(
         c=float(beta_raw.get("c", 0.04)),
         floor=float(beta_raw.get("floor", 0.5)),
@@ -82,7 +84,7 @@ def _config_from_file(path: str) -> tuple[SuiteSpec, dict]:
         lightcone_feedback=bool(raw.get("lightcone_feedback", True)),
         seed=int(raw.get("seed", 0)),
     )
-    spec = SuiteSpec(
+    return SuiteSpec(
         family=_FAMILY_ALIASES[raw.get("family", "regular3")],
         n_list=tuple(int(n) for n in raw.get("n_list", [10])),
         instances_per_n=int(raw.get("instances_per_n", 1)),
@@ -93,7 +95,6 @@ def _config_from_file(path: str) -> tuple[SuiteSpec, dict]:
         snapshot_steps=tuple(int(s) for s in raw.get("snapshot_steps", [10, 100, 1000, 10000])),
         exhaustive_cubic=bool(raw.get("exhaustive_cubic", False)),
     )
-    return spec, raw
 
 
 def _cmd_run(args) -> int:
@@ -113,10 +114,7 @@ def _cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     graph_id = args.graph_id or f"run_n{g.n:02d}"
     write_trace_csv(out / f"{graph_id}.csv", graph_id, g, traces)
-    spec = SuiteSpec(family="regular3", n_list=(g.n,), instances_per_n=1, config=cfg)
-    summary = _summary_dict(graph_id, g, spec, oracle, traces)
-    summary["family"] = None
-    _atomic_write(out / f"{graph_id}.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_summary(out / f"{graph_id}.json", graph_id, g, cfg, None, oracle, traces)
     last = traces[-1]
     ratio = f" true_ratio={last.true_ratio:.6f}" if last.true_ratio is not None else ""
     print(f"{graph_id}: steps={last.step} hf/m={last.hf_over_m:.6f} "
@@ -125,7 +123,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    spec, _ = _config_from_file(args.config)
+    spec = _config_from_file(args.config)
     manifest = run_suite(spec, args.out)
     print(f"suite complete: {len(manifest['instances'])} instances, "
           f"{len(manifest['skipped'])} skipped, results in {args.out}")
@@ -133,7 +131,7 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    spec, _ = _config_from_file(args.config)
+    spec = _config_from_file(args.config)
     targets = tuple(float(t) for t in args.targets.split(","))
     records = convergence_experiment(spec, targets)
     out = Path(args.out)
@@ -143,7 +141,7 @@ def _cmd_convergence(args) -> int:
     for r in records:
         reached = "" if r.rounds_to_target is None else str(r.rounds_to_target)
         lines.append(f"{r.graph_id},{r.n},{r.target!r},{reached}")
-    _atomic_write(out / "records.csv", "\n".join(lines) + "\n")
+    atomic_write(out / "records.csv", "\n".join(lines) + "\n")
 
     fit_report = {}
     for target in targets:
@@ -159,7 +157,7 @@ def _cmd_convergence(args) -> int:
             fits["error"] = str(err)
         fit_report[repr(target)] = fits
         _emit_convergence_plot(sub, out / f"loglog_{target:g}.svg")
-    _atomic_write(out / "fits.json", json.dumps(fit_report, indent=2, sort_keys=True) + "\n")
+    atomic_write(out / "fits.json", json.dumps(fit_report, indent=2, sort_keys=True) + "\n")
     print(json.dumps(fit_report, indent=2, sort_keys=True))
     return 0
 
@@ -193,12 +191,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_gen(args) -> int:
     family = _FAMILY_ALIASES[args.family]
-    if family == "regular3":
-        g = gen_random_regular(args.n, args.d, args.seed)
-    elif family == "erdos_renyi":
-        g = gen_erdos_renyi(args.n, args.p, args.seed)
-    else:
-        g = gen_bipartite((args.n + 1) // 2, args.n // 2, args.p, args.seed)
+    g = make_graph(family, args.n, args.seed, p=args.p, degree=args.d)
     Path(args.out).write_text(g.to_text(), encoding="utf-8")
     print(f"wrote {family} graph n={g.n} m={g.m} to {args.out}")
     return 0

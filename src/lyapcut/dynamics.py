@@ -144,19 +144,17 @@ def bfs_order(g: Graph, root: int = 0) -> BfsOrder:
 
 
 def _run_loop(
-    g: Graph,
     h: MaxCutHamiltonian,
     cfg: RunConfig,
     oracle: Optional[CutOracleResult],
     mixer: ObservableTerms,
     apply_layers: Callable,
     eta_coefficients: list[float],
-    mixer_unit_count: int,
     observer: Optional[Callable] = None,
     stop_at_true_ratio: Optional[float] = None,
 ) -> list[StepTrace]:
-    n, m = g.n, h.m
-    state = init_plus(n, cap=cfg.state_cap, mirrored=True)
+    m = h.m
+    state = init_plus(h.n, cap=cfg.state_cap, mirrored=True)
     one = OneParamTracker()
     two = TwoParamTracker()
     optimum = float(oracle.optimum) if oracle is not None else None
@@ -178,7 +176,7 @@ def _run_loop(
 
         dt_p = cfg.dt
         if cfg.adaptive_dt:
-            dt_p = _adaptive_dt(h, cfg, two, alpha, o_used, hf_before, eta_coefficients, mixer_unit_count)
+            dt_p = _adaptive_dt(h, cfg, two, alpha, o_used, hf_before, eta_coefficients, mixer)
 
         one_param_step(one, [alpha], [o_used], dt_p, q_exp=float(m))
         froze = False
@@ -239,14 +237,14 @@ def _check_norm(p: int, state) -> None:
         raise StateError(f"norm drift {drift:.3e} after round {p} exceeds {NORM_TOL:g}")
 
 
-def _adaptive_dt(h, cfg, two, alpha, o_cur, hf_before, eta_coefficients, mixer_unit_count):
+def _adaptive_dt(h, cfg, two, alpha, o_cur, hf_before, eta_coefficients, mixer):
     """Admissible step under the error budget, conservative in the next x value.
 
     A first pass bounds dt with the current x; the x value implied by that dt
     can only shrink the second-pass dt, so the final dt is admissible for the
     x it actually produces.
     """
-    bounds = error_constants(h, [alpha] * mixer_unit_count, eta_coefficients)
+    bounds = error_constants(h, [alpha] * len(mixer.terms), eta_coefficients)
     dt1 = min(cfg.dt, max_step_size(bounds, cfg.epsilon, x_next=two.x))
     gain1 = max(alpha * o_cur * dt1, 0.0)
     q_two = float(h.m) - hf_before
@@ -273,9 +271,8 @@ def run_qaoa_feedback(
             apply_rx(state, j, alpha * dt_p)
 
     return _run_loop(
-        g, h, cfg, oracle, mixer, apply_layers,
+        h, cfg, oracle, mixer, apply_layers,
         eta_coefficients=[inv_m] * h.m,
-        mixer_unit_count=g.n,
         observer=observer,
         stop_at_true_ratio=stop_at_true_ratio,
     )
@@ -304,9 +301,8 @@ def run_light_cone(
             apply_ryz(state, j, k, alpha * dt_p)
 
     return _run_loop(
-        g, h, cfg, oracle, mixer, apply_layers,
+        h, cfg, oracle, mixer, apply_layers,
         eta_coefficients=[],
-        mixer_unit_count=len(order.oriented_edges),
         observer=observer,
         stop_at_true_ratio=stop_at_true_ratio,
     )

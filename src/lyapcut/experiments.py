@@ -12,24 +12,22 @@ import dataclasses
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 from xml.sax.saxutils import escape
 
 from .dynamics import RunConfig, StepTrace, run_light_cone, run_qaoa_feedback
 from .graphs import (
+    FAMILIES,
     CutOracleResult,
     Graph,
+    bipartite_parts,
     brute_force_max_cut,
     enumerate_cubic,
-    gen_bipartite,
-    gen_erdos_renyi,
-    gen_random_regular,
+    make_graph,
 )
 from .hamiltonian import build_maxcut
-
-FAMILIES = ("regular3", "erdos_renyi", "bipartite")
 
 TRACE_COLUMNS = (
     "graph_id", "n", "m", "step", "t", "beta", "O", "alpha", "exp_hf",
@@ -115,12 +113,7 @@ def suite_instances(spec: SuiteSpec):
         for k in range(spec.instances_per_n):
             sub_seed = spec.config.seed ^ counter
             counter += 1
-            if spec.family == "regular3":
-                g = gen_random_regular(n, spec.degree, seed=sub_seed)
-            elif spec.family == "erdos_renyi":
-                g = gen_erdos_renyi(n, spec.p, seed=sub_seed)
-            else:
-                g = gen_bipartite((n + 1) // 2, n // 2, spec.p, seed=sub_seed)
+            g = make_graph(spec.family, n, sub_seed, p=spec.p, degree=spec.degree)
             yield f"{spec.family}_n{n:02d}_i{k:02d}", g
 
 
@@ -143,7 +136,7 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
@@ -158,7 +151,7 @@ def write_trace_csv(path: Path, graph_id: str, g: Graph, traces: Sequence[StepTr
             _fmt(tr.lambda_lb), _fmt(tr.two_param_lb), _fmt(tr.true_ratio),
             _fmt(tr.violation),
         ]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_trace_csv(path: Path) -> list[dict]:
@@ -180,16 +173,18 @@ def read_trace_csv(path: Path) -> list[dict]:
     return rows
 
 
-def _summary_dict(graph_id: str, g: Graph, spec: SuiteSpec, oracle, traces: Sequence[StepTrace]) -> dict:
+def write_summary(path: Path, graph_id: str, g: Graph, cfg: RunConfig, family: Optional[str],
+                  oracle: Optional[CutOracleResult], traces: Sequence[StepTrace]) -> None:
+    """Write the per-instance summary JSON; family is None for a graph from outside a suite grid."""
     last = traces[-1]
-    return {
+    summary = {
         "graph_id": graph_id,
-        "family": spec.family,
+        "family": family,
         "n": g.n,
         "m": g.m,
-        "parts": [(g.n + 1) // 2, g.n // 2] if spec.family == "bipartite" else None,
+        "parts": list(bipartite_parts(g.n)) if family == "bipartite" else None,
         "graph_hash": g.content_hash(),
-        "config": dataclasses.asdict(spec.config),
+        "config": dataclasses.asdict(cfg),
         "oracle": None if oracle is None else {
             "optimum": oracle.optimum,
             "one_maximizer": format(oracle.maximizers[0], f"0{g.n}b")[::-1],
@@ -205,6 +200,7 @@ def _summary_dict(graph_id: str, g: Graph, spec: SuiteSpec, oracle, traces: Sequ
         },
         "violations": sum(1 for tr in traces if tr.violation),
     }
+    atomic_write(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def _suite_worker(task):
@@ -242,8 +238,7 @@ def run_suite(spec: SuiteSpec, output_dir) -> dict:
     results = []
     for graph_id, g, oracle, traces in completed:
         write_trace_csv(out / f"{graph_id}.csv", graph_id, g, traces)
-        summary = _summary_dict(graph_id, g, spec, oracle, traces)
-        _atomic_write(out / f"{graph_id}.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        write_summary(out / f"{graph_id}.json", graph_id, g, spec.config, spec.family, oracle, traces)
         results.append((graph_id, g, traces))
 
     snapshots = sorted(s for s in set(spec.snapshot_steps) if 1 <= s <= spec.config.rounds)
@@ -264,7 +259,7 @@ def run_suite(spec: SuiteSpec, output_dir) -> dict:
                 _fmt(sum(r.two_param_lb for r in rows) / len(rows)),
                 _fmt(sum(r.hf_over_m for r in rows) / len(rows)),
             ]))
-    _atomic_write(out / "aggregates.csv", "\n".join(agg_lines) + "\n")
+    atomic_write(out / "aggregates.csv", "\n".join(agg_lines) + "\n")
 
     manifest = {
         "family": spec.family,
@@ -272,7 +267,7 @@ def run_suite(spec: SuiteSpec, output_dir) -> dict:
         "skipped": skipped,
         "aggregates": "aggregates.csv",
     }
-    _atomic_write(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    atomic_write(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 
@@ -389,7 +384,7 @@ def emit_plot(series: Sequence[PlotSeries], kind: str, path) -> Path:
     for s in series:
         for x, y in zip(s.xs, s.ys):
             csv_lines.append(f"{escape(s.label)},{_fmt(float(x))},{_fmt(float(y))}")
-    _atomic_write(path.with_suffix(".csv"), "\n".join(csv_lines) + "\n")
+    atomic_write(path.with_suffix(".csv"), "\n".join(csv_lines) + "\n")
 
     # Transform every series into plain numeric plot coordinates.
     if kind == "loglog_scatter":
@@ -477,5 +472,5 @@ def emit_plot(series: Sequence[PlotSeries], kind: str, path) -> Path:
             f'<text x="{_ML + 25}" y="{legend_y + si * 16}" font-size="11">{escape(s.label)}</text>'
         )
     parts.append("</svg>")
-    _atomic_write(path, "\n".join(parts) + "\n")
+    atomic_write(path, "\n".join(parts) + "\n")
     return path

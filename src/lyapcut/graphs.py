@@ -19,6 +19,9 @@ import numpy as np
 
 DEFAULT_ORACLE_CAP = 24
 MAX_GENERATION_ATTEMPTS = 10_000
+FAMILIES = ("regular3", "erdos_renyi", "bipartite")
+# Indices per block of cut_table; each block allocates an 8-byte index per entry.
+CUT_TABLE_BLOCK = 1 << 20
 
 # Connected cubic graph counts up to isomorphism, used by enumerate_cubic.
 _CONNECTED_CUBIC_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19}
@@ -221,30 +224,43 @@ def gen_bipartite(n1: int, n2: int, p: float, seed: int) -> Graph:
     raise GenerationError(f"no connected bipartite({n1}, {n2}, {p}) sample for seed={seed}")
 
 
-def brute_force_max_cut(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> CutOracleResult:
-    """Exhaustive optimum over all 2^n assignments.
+def bipartite_parts(n: int) -> tuple[int, int]:
+    return (n + 1) // 2, n // 2
 
-    Works block-wise so peak memory stays bounded for n near the cap. Memory
-    for the maximizer list scales with the number of optimal assignments.
-    """
+
+def make_graph(family: str, n: int, seed: int, p: float = 0.5, degree: int = 3) -> Graph:
+    """One sample of a test family; bipartite parts are {0..ceil(n/2)-1} and the rest."""
+    if family == "regular3":
+        return gen_random_regular(n, degree, seed)
+    if family == "erdos_renyi":
+        return gen_erdos_renyi(n, p, seed)
+    if family == "bipartite":
+        return gen_bipartite(*bipartite_parts(n), p, seed)
+    raise GraphError(f"family must be one of {FAMILIES}, got {family!r}")
+
+
+def cut_table(g: Graph) -> np.ndarray:
+    """Cut value of every basis index as uint16, length 2^n; bit j of an index
+    is the side of vertex j. Filled CUT_TABLE_BLOCK indices at a time by
+    edge-mask popcount parity, so no full-length index array is built."""
+    size = 1 << g.n
+    table = np.zeros(size, dtype=np.uint16)
+    masks = [np.uint64((1 << u) | (1 << v)) for u, v in g.edges]
+    for start in range(0, size, CUT_TABLE_BLOCK):
+        idx = np.arange(start, min(start + CUT_TABLE_BLOCK, size), dtype=np.uint64)
+        block = table[start:start + idx.size]
+        for mask in masks:
+            block += np.bitwise_count(idx & mask) & 1
+    return table
+
+
+def brute_force_max_cut(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> CutOracleResult:
+    """Exhaustive optimum and every maximizer, read off the full cut table."""
     if g.n > cap:
         raise GraphError(f"oracle capped at n={cap}, got n={g.n}")
-    block_bits = min(g.n, 20)
-    block = 1 << block_bits
-    best = -1
-    argbest: list[int] = []
-    for start in range(0, 1 << g.n, block):
-        x = np.arange(start, start + block, dtype=np.uint64)
-        cuts = np.zeros(block, dtype=np.uint16)
-        for u, v in g.edges:
-            cuts += ((x >> np.uint64(u)) ^ (x >> np.uint64(v))).astype(np.uint16) & 1
-        block_best = int(cuts.max())
-        if block_best > best:
-            best = block_best
-            argbest = []
-        if block_best == best:
-            argbest.extend(int(i) + start for i in np.flatnonzero(cuts == block_best))
-    return CutOracleResult(optimum=best, maximizers=tuple(argbest))
+    table = cut_table(g)
+    best = int(table.max())
+    return CutOracleResult(optimum=best, maximizers=tuple(int(i) for i in np.flatnonzero(table == best)))
 
 
 def _first_free(used: dict[int, int], num_colors: int) -> int:

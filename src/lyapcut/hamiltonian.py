@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, cut_table
 from .statevector import ObservableTerms, PauliTerm
 
 HAMILTONIAN_CAP_DEFAULT = 24
@@ -53,15 +53,10 @@ class NormBounds:
 
 
 def build_maxcut(g: Graph, cap: int = HAMILTONIAN_CAP_DEFAULT) -> MaxCutHamiltonian:
-    """Materialize the per-basis cut table via edge-mask popcount parity."""
+    """Wrap the per-basis cut table of g."""
     if g.n > cap:
         raise GraphError(f"hamiltonian capped at n={cap}, got n={g.n}")
-    idx = np.arange(1 << g.n, dtype=np.uint64)
-    diag = np.zeros(1 << g.n, dtype=np.uint16)
-    for u, v in g.edges:
-        mask = np.uint64((1 << u) | (1 << v))
-        diag += np.bitwise_count(idx & mask) & 1
-    return MaxCutHamiltonian(graph=g, diag=diag, m=g.m)
+    return MaxCutHamiltonian(graph=g, diag=cut_table(g), m=g.m)
 
 
 def commutator_terms(mixer: ObservableTerms, h: MaxCutHamiltonian) -> ObservableTerms:

@@ -27,7 +27,6 @@ class TestOneParam:
     def test_zero_observables_zero_increment(self):
         tr = one_param_step(OneParamTracker(), [0.5, 0.5], [0.0, 0.0], dt=0.08, q_exp=3.0)
         assert tr.lam == 0.0
-        assert tr.history == [0.0]
         assert not tr.last_violated
 
     def test_single_edge_increment(self):

@@ -99,3 +99,18 @@ def test_convergence_command(tmp_path, capsys):
 def test_bad_graph_spec_fails_cleanly(tmp_path):
     with pytest.raises(SystemExit):
         main(["oracle", "--graph", "nonexistent.txt"])
+
+
+def test_graph_spec_typo_names_the_key(capsys):
+    # A misspelt seed must not fall back to seed 0.
+    with pytest.raises(SystemExit, match=r"unknown key\(s\) sed in"):
+        main(["oracle", "--graph", "regular3:n=10,sed=7"])
+    assert capsys.readouterr().out == ""
+
+
+def test_config_file_unknown_key_names_the_key(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"family": "regular3", "n_list": [6], "rounds": 5, "instance_per_n": 2}))
+    with pytest.raises(SystemExit, match=r"unknown key\(s\) instance_per_n in"):
+        main(["suite", "--config", str(cfg_path), "--out", str(tmp_path / "suite")])
+    assert not (tmp_path / "suite").exists()

@@ -3,12 +3,15 @@ import json
 
 import pytest
 
+from lyapcut import graphs
 from lyapcut.graphs import (
+    FAMILIES,
     CutOracleResult,
     Graph,
     GraphError,
     are_isomorphic,
     brute_force_max_cut,
+    cut_table,
     edge_coloring,
     enumerate_cubic,
     gen_bipartite,
@@ -16,7 +19,9 @@ from lyapcut.graphs import (
     gen_random_regular,
     is_connected,
     load_graph,
+    make_graph,
 )
+from lyapcut.hamiltonian import build_maxcut
 
 
 def naive_max_cut(g):
@@ -207,6 +212,35 @@ class TestOracle:
     def test_bitstrings_use_vertex_order(self):
         res = CutOracleResult(optimum=1, maximizers=(1,))
         assert res.bitstrings(3) == ("100",)
+
+
+class TestCutTable:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_blocks_agree_with_naive_count(self, monkeypatch, family):
+        # 2^8 indices over 16 blocks of 2^4: every block boundary is crossed.
+        monkeypatch.setattr(graphs, "CUT_TABLE_BLOCK", 1 << 4)
+        g = make_graph(family, 8, seed=3)
+        naive = [sum(1 for u, v in g.edges if ((x >> u) & 1) != ((x >> v) & 1)) for x in range(1 << g.n)]
+        table = cut_table(g)
+        assert table.dtype.name == "uint16"
+        assert table.tolist() == naive
+        assert build_maxcut(g).diag.tolist() == naive
+        best = max(naive)
+        res = brute_force_max_cut(g)
+        assert res.optimum == best
+        assert res.maximizers == tuple(x for x, c in enumerate(naive) if c == best)
+
+
+class TestMakeGraph:
+    def test_dispatches_to_the_family_generators(self):
+        assert make_graph("regular3", 8, seed=2) == gen_random_regular(8, 3, seed=2)
+        assert make_graph("regular3", 8, seed=2, degree=4) == gen_random_regular(8, 4, seed=2)
+        assert make_graph("erdos_renyi", 9, seed=1, p=0.4) == gen_erdos_renyi(9, 0.4, seed=1)
+        assert make_graph("bipartite", 7, seed=5) == gen_bipartite(4, 3, 0.5, seed=5)
+
+    def test_unknown_family(self):
+        with pytest.raises(GraphError, match="family"):
+            make_graph("er", 8, seed=0)
 
 
 class TestEdgeColoring:
