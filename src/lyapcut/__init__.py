@@ -29,8 +29,8 @@ from .experiments import (
     emit_plot,
     fit_loglog,
     percentile,
-    run_instance,
     run_suite,
+    solve_instance,
 )
 from .graphs import (
     CutOracleResult,

@@ -17,8 +17,8 @@ from .experiments import (
     convergence_experiment,
     emit_plot,
     fit_loglog,
-    run_instance,
     run_suite,
+    solve_instance,
     write_summary,
     write_trace_csv,
 )
@@ -34,7 +34,9 @@ _FAMILY_ALIASES = {
 _ANSATZ_ALIASES = {"qaoa": "qaoa_feedback", "qaoa_feedback": "qaoa_feedback",
                    "lightcone": "light_cone", "light_cone": "light_cone"}
 
-_GRAPH_SPEC_KEYS = ("n", "p", "seed", "d")
+# The spec keys each family reads; make_graph ignores p for regular3 and d for the others.
+_GRAPH_SPEC_KEYS = {"regular3": ("n", "seed", "d"), "erdos_renyi": ("n", "seed", "p"),
+                    "bipartite": ("n", "seed", "p")}
 _CONFIG_KEYS = ("family", "n_list", "instances_per_n", "dt", "rounds", "beta", "epsilon",
                 "adaptive_dt", "lightcone_feedback", "seed", "ansatz", "targets", "p",
                 "oracle_cap", "snapshot_steps", "exhaustive_cubic")
@@ -58,7 +60,7 @@ def _resolve_graph(arg: str) -> Graph:
     if family is None:
         raise SystemExit(f"unknown family in graph spec: {arg}")
     kv = dict(item.split("=", 1) for item in params.split(",") if item)
-    _reject_unknown(kv, _GRAPH_SPEC_KEYS, f"graph spec {arg}")
+    _reject_unknown(kv, _GRAPH_SPEC_KEYS[family], f"graph spec {arg} for family {family}")
     return make_graph(family, int(kv.get("n", "10")), int(kv.get("seed", "0")),
                       p=float(kv.get("p", "0.5")), degree=int(kv.get("d", "3")))
 
@@ -108,8 +110,7 @@ def _cmd_run(args) -> int:
         lightcone_feedback=not args.no_lightcone_feedback,
         seed=args.seed,
     )
-    oracle = brute_force_max_cut(g) if g.n <= args.oracle_cap else None
-    traces = run_instance(g, cfg, oracle)
+    oracle, traces = solve_instance(g, cfg, args.oracle_cap)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     graph_id = args.graph_id or f"run_n{g.n:02d}"

@@ -23,7 +23,6 @@ from .graphs import (
     CutOracleResult,
     Graph,
     bipartite_parts,
-    brute_force_max_cut,
     enumerate_cubic,
     make_graph,
 )
@@ -117,15 +116,18 @@ def suite_instances(spec: SuiteSpec):
             yield f"{spec.family}_n{n:02d}_i{k:02d}", g
 
 
-def run_instance(
+def solve_instance(
     g: Graph,
     cfg: RunConfig,
-    oracle: Optional[CutOracleResult] = None,
+    oracle_cap: int,
     stop_at_true_ratio: Optional[float] = None,
-) -> list[StepTrace]:
+) -> tuple[Optional[CutOracleResult], list[StepTrace]]:
+    """Run the configured ansatz on g; the oracle, None above oracle_cap, is
+    read off the cut table of the same Hamiltonian, so the table is built once."""
     h = build_maxcut(g, cap=cfg.state_cap)
+    oracle = CutOracleResult.from_table(h.diag) if g.n <= oracle_cap else None
     runner = run_qaoa_feedback if cfg.ansatz == "qaoa_feedback" else run_light_cone
-    return runner(g, h, cfg, oracle, stop_at_true_ratio=stop_at_true_ratio)
+    return oracle, runner(g, h, cfg, oracle, stop_at_true_ratio=stop_at_true_ratio)
 
 
 def _fmt(value) -> str:
@@ -205,8 +207,7 @@ def write_summary(path: Path, graph_id: str, g: Graph, cfg: RunConfig, family: O
 
 def _suite_worker(task):
     graph_id, g, cfg, oracle_cap = task
-    oracle = brute_force_max_cut(g) if g.n <= oracle_cap else None
-    return graph_id, g, oracle, run_instance(g, cfg, oracle)
+    return (graph_id, g, *solve_instance(g, cfg, oracle_cap))
 
 
 def run_suite(spec: SuiteSpec, output_dir) -> dict:
@@ -280,8 +281,7 @@ def convergence_experiment(spec: SuiteSpec, targets: Sequence[float]) -> list[Co
     for graph_id, g in suite_instances(spec):
         if g.n > spec.oracle_cap:
             raise MissingOracleError(f"{graph_id}: n={g.n} beyond oracle cap {spec.oracle_cap}")
-        oracle = brute_force_max_cut(g)
-        traces = run_instance(g, spec.config, oracle, stop_at_true_ratio=targets[-1])
+        _, traces = solve_instance(g, spec.config, spec.oracle_cap, stop_at_true_ratio=targets[-1])
         for target in targets:
             hit = next((tr.step for tr in traces if tr.true_ratio >= target), NOT_REACHED)
             records.append(ConvergenceRecord(graph_id=graph_id, n=g.n, target=target, rounds_to_target=hit))

@@ -125,6 +125,12 @@ class CutOracleResult:
     optimum: int
     maximizers: tuple[int, ...]
 
+    @classmethod
+    def from_table(cls, table: np.ndarray) -> "CutOracleResult":
+        """The optimum and every maximizer of a full cut table, such as cut_table(g)."""
+        best = int(table.max())
+        return cls(optimum=best, maximizers=tuple(int(i) for i in np.flatnonzero(table == best)))
+
     def bitstrings(self, n: int) -> tuple[str, ...]:
         return tuple(format(x, f"0{n}b")[::-1] for x in self.maximizers)
 
@@ -258,9 +264,7 @@ def brute_force_max_cut(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> CutOracleRes
     """Exhaustive optimum and every maximizer, read off the full cut table."""
     if g.n > cap:
         raise GraphError(f"oracle capped at n={cap}, got n={g.n}")
-    table = cut_table(g)
-    best = int(table.max())
-    return CutOracleResult(optimum=best, maximizers=tuple(int(i) for i in np.flatnonzero(table == best)))
+    return CutOracleResult.from_table(cut_table(g))
 
 
 def _first_free(used: dict[int, int], num_colors: int) -> int:

@@ -14,11 +14,10 @@ h. On a mirrored state:
   (n-1)-qubit array, and feedback and <H_f> are doubled for the mirror half;
 - a Z on qubit n-1 is +1 on h;
 - a flip of qubit n-1 maps x to 2^(n-1)-1-x inside h, because
-  psi(x + 2^(n-1)) = h[2^(n-1)-1-x]. RX and feedback terms on qubit n-1
-  pair the lower quarter of h with the upper quarter reversed and run the
-  same pair code as the other qubits, with feedback doubled like theirs;
-  RYZ with Y on qubit n-1 forms h <- c h - s z(x) h[::-1], the same pairs
-  seen from both ends;
+  psi(x + 2^(n-1)) = h[2^(n-1)-1-x]. RX and RYZ read the partner of every
+  amplitude from h[::-1]; feedback terms on qubit n-1 pair the lower quarter
+  of h with the upper quarter reversed, each pair once, and are doubled
+  like the other qubits';
 - a diagonal table is still passed as the full 2^n table and must be
   complement-symmetric, diag == diag[::-1]; the kernels read diag[:2^(n-1)].
   Every cut table is, because a cut does not change when all sides swap;
@@ -193,15 +192,25 @@ def _diag_for(state: StateVector, diag) -> np.ndarray:
     return diag[: state.amplitudes.size]
 
 
+def _partner(amps: np.ndarray, q: int, top: int) -> np.ndarray:
+    """X_q applied to the stored amplitudes, as a view: entry x is the amplitude of x with bit q flipped.
+
+    The (-1, 2, 2^q) view of the bit-q halves with the halves swapped; flat and
+    reversed for qubit top, n-1 of a mirrored state, whose flip maps x to 2^(n-1)-1-x.
+    """
+    if q == top:
+        return amps[::-1]
+    return amps.reshape(-1, 2, 1 << q)[:, ::-1, :]
+
+
 def apply_rx(state: StateVector, qubit: int, theta: float) -> StateVector:
     """exp(-i theta X) on one qubit, i.e. [[cos, -i sin], [-i sin, cos]]."""
     _check_qubit(state, qubit)
     c, s = math.cos(theta), math.sin(theta)
-    a0, a1 = _pairs(state.amplitudes, qubit, _mirror_top(state))
-    t0 = c * a0 - 1j * s * a1
-    a1 *= c
-    a1 -= 1j * s * a0
-    a0[...] = t0
+    h = state.amplitudes
+    p = _partner(h, qubit, _mirror_top(state)) * (-1j * s)
+    h *= c
+    h += p.reshape(-1)
     return state
 
 
@@ -225,42 +234,30 @@ def apply_rzz(state: StateVector, q1: int, q2: int, theta: float) -> StateVector
 
 
 def apply_ryz(state: StateVector, qy: int, qz: int, theta: float) -> StateVector:
-    """exp(-i theta Y Z) with Y on qy and Z on qz."""
+    """exp(-i theta Y Z) with Y on qy and Z on qz: a <- c a + s y z a', with a' the
+    amplitude at bit qy flipped, y = -1 / +1 on bit qy = 0 / 1 and z = (-1)^(bit qz).
+
+    The sign table is complex so that the multiply needs no cast. Bit n-1 of a
+    mirrored state is 0, so y = -1 when qy = n-1 and z = +1 when qz = n-1: only
+    the other bit carries a sign, and y z is [-1, 1] over it either way.
+    """
     _check_qubit(state, qy)
     _check_qubit(state, qz)
     if qy == qz:
         raise StateError("ryz needs two distinct qubits")
     c, s = math.cos(theta), math.sin(theta)
     h, top = state.amplitudes, _mirror_top(state)
-    if qy == top:
-        # h <- c h - s z(x) h[::-1]: the partner of x is h[::-1][x], the Z sign is read on x.
-        mirror = h[::-1] * -s
-        mirror.reshape(-1, 2, 1 << qz)[:, 1, :] *= -1.0
-        h *= c
-        h += mirror
-        return state
-    if qz == top:
-        # Z on qubit n-1 is +1 on the stored half: a plain Y rotation.
-        _rotate_y(*_halves(h, qy), c, s)
-        return state
-    hi, lo = max(qy, qz), min(qy, qz)
-    view = h.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    for bz in (0, 1):
-        sign = 1.0 - 2.0 * bz
-        if qy == hi:
-            a0, a1 = view[:, 0, :, bz, :], view[:, 1, :, bz, :]
-        else:
-            a0, a1 = view[:, bz, :, 0, :], view[:, bz, :, 1, :]
-        _rotate_y(a0, a1, c, s * sign)
+    if top in (qy, qz):
+        shape = (-1, 2, 1 << (qz if qy == top else qy))
+        table = np.array([[-s], [s]], dtype=np.complex128)
+    else:
+        hi, lo = max(qy, qz), min(qy, qz)
+        shape = (-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+        table = np.array([-s, s, s, -s], dtype=np.complex128).reshape(2, 1, 2, 1)
+    p = _partner(h, qy, top).reshape(shape) * table
+    h *= c
+    h += p.reshape(-1)
     return state
-
-
-def _rotate_y(a0: np.ndarray, a1: np.ndarray, c: float, s: float) -> None:
-    """exp(-i theta Y) on the pairs (a0, a1) in place: [[c, -s], [s, c]]."""
-    t0 = c * a0 - s * a1
-    a1 *= c
-    a1 += s * a0
-    a0[...] = t0
 
 
 def apply_diagonal_phase(state: StateVector, diag: np.ndarray, gamma: float) -> StateVector:

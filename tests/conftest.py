@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from lyapcut import graphs
 from lyapcut.graphs import Graph
 
 # Standard labeling: outer 5-cycle 0..4, inner pentagram 5..9, spokes between.
@@ -33,3 +34,19 @@ def k4():
 @pytest.fixture
 def single_edge():
     return Graph.from_edges(2, [(0, 1)])
+
+
+@pytest.fixture
+def cut_table_calls(monkeypatch):
+    """Sizes of the graphs passed to graphs.cut_table, counted through every lyapcut module that binds it."""
+    calls = []
+    original = graphs.cut_table
+
+    def counted(g):
+        calls.append(g.n)
+        return original(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lyapcut" and getattr(module, "cut_table", None) is original:
+            monkeypatch.setattr(module, "cut_table", counted)
+    return calls

@@ -108,6 +108,23 @@ def test_graph_spec_typo_names_the_key(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("spec, key, family", [
+    ("er:n=10,d=4,seed=1", "d", "erdos_renyi"),
+    ("regular3:n=10,seed=1,p=0.2", "p", "regular3"),
+])
+def test_graph_spec_key_the_family_ignores_names_key_and_family(capsys, spec, key, family):
+    # make_graph reads d only for regular3 and p only for the random families.
+    with pytest.raises(SystemExit, match=rf"unknown key\(s\) {key} in graph spec .* for family {family};"):
+        main(["oracle", "--graph", spec])
+    assert capsys.readouterr().out == ""
+
+
+def test_run_builds_the_cut_table_once(tmp_path, cut_table_calls):
+    assert main(["run", "--graph", "regular3:n=8,seed=1", "--rounds", "3", "--out", str(tmp_path)]) == 0
+    assert cut_table_calls == [8]
+    assert json.loads((tmp_path / "run_n08.json").read_text())["oracle"]["optimum"] > 0
+
+
 def test_config_file_unknown_key_names_the_key(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"family": "regular3", "n_list": [6], "rounds": 5, "instance_per_n": 2}))

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from lyapcut.certificates import potential_value, trapezoidal_bounds
-from lyapcut.graphs import Graph, GraphError, brute_force_max_cut, gen_bipartite, gen_random_regular
+from lyapcut.graphs import (
+    Graph,
+    GraphError,
+    brute_force_max_cut,
+    gen_bipartite,
+    gen_erdos_renyi,
+    gen_random_regular,
+)
 from lyapcut.hamiltonian import build_maxcut
 from lyapcut.dynamics import (
     BetaParams,
@@ -249,6 +256,38 @@ class TestAdaptiveMode:
         traces = run_light_cone(g, h, cfg, brute_force_max_cut(g))
         assert len(traces) == 5
         assert all(0 < tr.t <= 5 * cfg.dt for tr in traces)
+
+
+class TestFreezePath:
+    """The two-parameter denominator collapses on K2 with a large beta: the
+    tracker freezes, that round alone is flagged, the two-parameter bound is
+    held from then on, and every round still runs."""
+
+    K2 = gen_erdos_renyi(2, 1.0, seed=0)
+    # Fixed dt, where no admissibility check applies: lambda_lb reaches 2.89 by round 12.
+    CFG = dict(dt=0.1, rounds=12, beta=BetaParams(c=20))
+
+    def run(self, runner, ansatz):
+        h = build_maxcut(self.K2)
+        frozen = []
+        traces = runner(self.K2, h, RunConfig(ansatz=ansatz, **self.CFG), brute_force_max_cut(self.K2),
+                        observer=lambda p, hf, one, two: frozen.append(two.frozen))
+        assert [tr.step for tr in traces] == list(range(1, 13))
+        return traces, frozen
+
+    def test_qaoa_freezes_at_round_8(self):
+        traces, frozen = self.run(run_qaoa_feedback, "qaoa_feedback")
+        assert [tr.step for tr in traces if tr.violation] == [8]
+        assert frozen == [False] * 8 + [True] * 5
+        held = traces[6].two_param_lb
+        assert held == pytest.approx(0.913502, abs=1e-6)
+        assert all(tr.two_param_lb == held for tr in traces[6:])
+
+    def test_light_cone_freezes_at_round_1(self):
+        traces, frozen = self.run(run_light_cone, "light_cone")
+        assert [tr.step for tr in traces if tr.violation] == [1]
+        assert frozen == [False] + [True] * 12
+        assert all(tr.two_param_lb == 0.0 for tr in traces)
 
 
 def counting(monkeypatch, name):

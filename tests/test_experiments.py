@@ -16,11 +16,11 @@ from lyapcut.experiments import (
     percentile,
     read_trace_csv,
     run_suite,
+    solve_instance,
     suite_instances,
     write_trace_csv,
 )
 from lyapcut.graphs import Graph
-from lyapcut.experiments import run_instance
 from lyapcut.graphs import brute_force_max_cut
 
 
@@ -82,7 +82,8 @@ class TestRunSuite:
         run_suite(spec, tmp_path)
         rows = read_trace_csv(tmp_path / "erdos_renyi_n06_i00.csv")
         (gid, g), = suite_instances(spec)
-        traces = run_instance(g, spec.config, brute_force_max_cut(g))
+        oracle, traces = solve_instance(g, spec.config, spec.oracle_cap)
+        assert oracle == brute_force_max_cut(g)
         assert len(rows) == len(traces) == 25
         for row, tr in zip(rows, traces):
             assert row["t"] == tr.t
@@ -91,6 +92,21 @@ class TestRunSuite:
             assert row["lambda_lb"] == tr.lambda_lb
             assert row["two_param_lb"] == tr.two_param_lb
             assert row["true_ratio"] == tr.true_ratio
+
+    def test_one_cut_table_per_instance(self, tmp_path, cut_table_calls):
+        spec = small_spec(family="erdos_renyi", n_list=(8, 10), instances_per_n=2, config=RunConfig(rounds=5))
+        run_suite(spec, tmp_path)
+        assert cut_table_calls == [8, 8, 10, 10]
+        # The oracle read off the Hamiltonian's table is the exhaustive one.
+        for graph_id, g in suite_instances(spec):
+            oracle = brute_force_max_cut(g)
+            summary = json.loads((tmp_path / f"{graph_id}.json").read_text())
+            assert summary["oracle"] == {"optimum": oracle.optimum, "one_maximizer": oracle.bitstrings(g.n)[0]}
+
+    def test_oracle_cap_leaves_the_oracle_out(self):
+        g = next(g for _, g in suite_instances(small_spec(n_list=(6,))))
+        oracle, traces = solve_instance(g, RunConfig(rounds=3), oracle_cap=5)
+        assert oracle is None and all(tr.true_ratio is None for tr in traces)
 
     def test_byte_identical_reruns(self, tmp_path):
         spec = small_spec(family="bipartite", n_list=(6,), config=RunConfig(rounds=30))

@@ -4,12 +4,15 @@ Each example runs one feedback loop on a small random graph, then replays the
 trace's alpha and step lengths with the full-state kernels. The replay must
 reproduce O and <H_f> per round, keep psi(x) = psi(~x), and both certified
 bounds must stay at or below the true ratio, with the two-parameter bound at
-or above the one-parameter bound until a round is flagged.
+or above the one-parameter bound until a round is flagged. In adaptive mode
+neither tracker's potential may drop by more than the error budget epsilon
+in a round.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from lyapcut.certificates import potential_value
 from lyapcut.dynamics import BetaParams, RunConfig, bfs_order, run_light_cone, run_qaoa_feedback
 from lyapcut.graphs import brute_force_max_cut, gen_bipartite, gen_erdos_renyi, gen_random_regular
 from lyapcut.hamiltonian import build_maxcut
@@ -80,8 +83,17 @@ def test_mirrored_run_matches_full_state_replay(g, ansatz, adaptive, dt, c, roun
     oracle = brute_force_max_cut(g)
     cfg = RunConfig(ansatz=ansatz, dt=dt, rounds=rounds, beta=BetaParams(c=c), adaptive_dt=adaptive)
     runner = run_qaoa_feedback if ansatz == "qaoa_feedback" else run_light_cone
-    traces = runner(g, h, cfg, oracle)
+    potentials = []
+
+    def watch(step, hf, one, two):
+        potentials.append([potential_value(hf, oracle.optimum, tracker) for tracker in (one, two)])
+
+    traces = runner(g, h, cfg, oracle, observer=watch if adaptive else None)
     assert len(traces) == rounds
+    if adaptive:
+        assert len(potentials) == rounds + 1
+        drops = np.diff(np.array(potentials), axis=0)
+        assert drops.min() >= -cfg.epsilon
     flagged = False
     for tr, (o, hf, state) in zip(traces, replay(g, h, traces, ansatz)):
         assert abs(tr.O - o) <= REPLAY_TOL

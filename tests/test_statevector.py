@@ -72,11 +72,13 @@ class TestGatesAgainstDense:
 
     def test_rx_matches_dense(self):
         rng = np.random.default_rng(2)
-        for q in range(3):
-            s = random_sv(3, rng)
-            expect = dense.dense_rx(3, q, 0.3) @ s.amplitudes
-            apply_rx(s, q, 0.3)
-            assert np.max(np.abs(s.amplitudes - expect)) < 1e-10
+        for n in range(2, 9):
+            for q in range(n):
+                s = random_sv(n, rng)
+                theta = float(rng.uniform(-1.5, 1.5))
+                expect = dense.dense_rx(n, q, theta) @ s.amplitudes
+                apply_rx(s, q, theta)
+                assert np.max(np.abs(s.amplitudes - expect)) < 1e-10
 
     def test_rzz_zero_is_identity(self):
         rng = np.random.default_rng(3)
@@ -115,11 +117,13 @@ class TestGatesAgainstDense:
 
     def test_ryz_matches_dense(self):
         rng = np.random.default_rng(7)
-        for qy, qz in [(0, 1), (1, 0), (0, 2), (2, 1)]:
-            s = random_sv(3, rng)
-            expect = dense.dense_ryz(3, qy, qz, 0.7) @ s.amplitudes
-            apply_ryz(s, qy, qz, 0.7)
-            assert np.max(np.abs(s.amplitudes - expect)) < 1e-10
+        for n in range(2, 9):
+            for qy, qz in [(j, k) for j in range(n) for k in range(n) if j != k]:
+                s = random_sv(n, rng)
+                theta = float(rng.uniform(-1.5, 1.5))
+                expect = dense.dense_ryz(n, qy, qz, theta) @ s.amplitudes
+                apply_ryz(s, qy, qz, theta)
+                assert np.max(np.abs(s.amplitudes - expect)) < 1e-10
 
     def test_gate_index_errors(self):
         s = init_plus(2)
