@@ -49,6 +49,20 @@ def _reject_unknown(keys, known, where: str) -> None:
         raise SystemExit(f"unknown key(s) {', '.join(unknown)} in {where}; known: {', '.join(known)}")
 
 
+def _choice(raw: dict, key: str, default: str, aliases: dict, where: str) -> str:
+    value = raw.get(key, default)
+    if not isinstance(value, str) or value not in aliases:
+        raise SystemExit(f"{key} {value!r} in {where} is not one of: {', '.join(sorted(aliases))}")
+    return aliases[value]
+
+
+def _flag(raw: dict, key: str, default: bool, where: str) -> bool:
+    value = raw.get(key, default)
+    if not isinstance(value, bool):
+        raise SystemExit(f"{key} {value!r} in {where} must be JSON true or false")
+    return value
+
+
 def _resolve_graph(arg: str) -> Graph:
     """Accept a path or a compact spec like 'regular3:n=10,seed=7'."""
     if Path(arg).exists():
@@ -77,17 +91,17 @@ def _config_from_file(path: str) -> SuiteSpec:
         rate=float(beta_raw.get("rate", 2.0)),
     )
     cfg = RunConfig(
-        ansatz=_ANSATZ_ALIASES[raw.get("ansatz", "qaoa")],
+        ansatz=_choice(raw, "ansatz", "qaoa", _ANSATZ_ALIASES, path),
         dt=float(raw.get("dt", 0.08)),
         rounds=int(raw.get("rounds", 10_000)),
         beta=beta,
         epsilon=float(raw.get("epsilon", 1e-3)),
-        adaptive_dt=bool(raw.get("adaptive_dt", False)),
-        lightcone_feedback=bool(raw.get("lightcone_feedback", True)),
+        adaptive_dt=_flag(raw, "adaptive_dt", False, path),
+        lightcone_feedback=_flag(raw, "lightcone_feedback", True, path),
         seed=int(raw.get("seed", 0)),
     )
     return SuiteSpec(
-        family=_FAMILY_ALIASES[raw.get("family", "regular3")],
+        family=_choice(raw, "family", "regular3", _FAMILY_ALIASES, path),
         n_list=tuple(int(n) for n in raw.get("n_list", [10])),
         instances_per_n=int(raw.get("instances_per_n", 1)),
         config=cfg,
@@ -95,7 +109,7 @@ def _config_from_file(path: str) -> SuiteSpec:
         p=float(raw.get("p", 0.5)),
         oracle_cap=int(raw.get("oracle_cap", 20)),
         snapshot_steps=tuple(int(s) for s in raw.get("snapshot_steps", [10, 100, 1000, 10000])),
-        exhaustive_cubic=bool(raw.get("exhaustive_cubic", False)),
+        exhaustive_cubic=_flag(raw, "exhaustive_cubic", False, path),
     )
 
 

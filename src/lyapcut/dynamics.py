@@ -1,12 +1,13 @@
-"""Feedback evolution loops: schedule, BFS orientation, and the two ansatz drivers.
+"""Feedback evolution loops: schedule, BFS orientation, the Mixer, and the two ansatz drivers.
 
-Each round p measures the feedback observable on the current state, converts
-it into the mixer strength for that round, advances both ratio certificates
-with the pre-step measurements, applies the layer unitaries, and records a
-trace row with the post-step energy. The energy after one round is the
-energy before the next, so <H_f> is measured once per round plus once on the
-initial plus state. The first measurement happens on the initial plus state,
-so round 1 of the transverse-field ansatz applies an identity mixer layer.
+Each public runner builds one Mixer, the mixer generator A of its ansatz. Each
+round p measures O = <i[A, H_f]> on the current state, converts it into the
+mixer strength for that round, advances both ratio certificates with the
+pre-step measurements, applies the Mixer's layer, and records a trace row with
+the post-step energy. The energy after one round is the energy before the
+next, so <H_f> is measured once per round plus once on the initial plus state.
+The first measurement happens on the initial plus state, so round 1 of the
+transverse-field ansatz applies an identity mixer layer.
 A NaN or infinite feedback value or energy stops the run with StateError, and
 so does a squared norm that drifts from 1 by more than NORM_TOL, checked
 every NORM_CHECK_EVERY rounds and after the last one.
@@ -31,7 +32,7 @@ from .certificates import (
     two_param_step,
 )
 from .graphs import CutOracleResult, Graph, GraphError
-from .hamiltonian import MaxCutHamiltonian, error_constants
+from .hamiltonian import MaxCutHamiltonian, NormBounds, error_constants
 from .statevector import (
     ObservableTerms,
     StateError,
@@ -143,23 +144,55 @@ def bfs_order(g: Graph, root: int = 0) -> BfsOrder:
     return BfsOrder(seq=tuple(seq), oriented_edges=tuple(oriented))
 
 
+@dataclass(frozen=True)
+class Mixer:
+    """The mixer generator A of one run: its layer, O = <i[A, H_f]>, and its norm bounds.
+
+    yz_edges is None for the transverse field, sum_j X_j after a phase layer of
+    H_f / m, and holds the gate order of the light cone's sum of Y_j Z_k. With
+    feedback the layer coefficient is beta * O, which keeps the certificate
+    increments nonnegative; without it the literal beta is used and negative
+    increments are clamped by the trackers. Kernels are called through this
+    module's names, so rebinding one reaches every call.
+    """
+
+    h: MaxCutHamiltonian
+    generator: ObservableTerms
+    feedback: bool = True
+    yz_edges: Optional[tuple[tuple[int, int], ...]] = None
+
+    def observe(self, state) -> float:
+        return feedback_observable(state, self.generator, self.h.diag)
+
+    def apply(self, state, alpha: float, dt: float) -> None:
+        if self.yz_edges is None:
+            apply_diagonal_phase(state, self.h.diag, dt * (1.0 / self.h.m))
+            for j in range(self.h.n):
+                apply_rx(state, j, alpha * dt)
+        else:
+            for j, k in self.yz_edges:
+                apply_ryz(state, j, k, alpha * dt)
+
+    def norm_bounds(self, alpha: float) -> NormBounds:
+        eta = [1.0 / self.h.m] * self.h.m if self.yz_edges is None else []
+        return error_constants(self.h, [alpha] * len(self.generator.terms), eta)
+
+
 def _run_loop(
-    h: MaxCutHamiltonian,
+    mixer: Mixer,
     cfg: RunConfig,
     oracle: Optional[CutOracleResult],
-    mixer: ObservableTerms,
-    apply_layers: Callable,
-    eta_coefficients: list[float],
-    observer: Optional[Callable] = None,
-    stop_at_true_ratio: Optional[float] = None,
+    observer: Optional[Callable],
+    stop_at_true_ratio: Optional[float],
 ) -> list[StepTrace]:
+    h = mixer.h
     m = h.m
     state = init_plus(h.n, cap=cfg.state_cap, mirrored=True)
     one = OneParamTracker()
     two = TwoParamTracker()
     optimum = float(oracle.optimum) if oracle is not None else None
 
-    o_cur = feedback_observable(state, mixer, h.diag)
+    o_cur = mixer.observe(state)
     hf_after = expectation_diagonal(state, h.diag)
     _check_finite(0, o_cur, hf_after)
     if observer is not None:
@@ -168,15 +201,14 @@ def _run_loop(
     traces: list[StepTrace] = []
     t_elapsed = 0.0
     for p in range(1, cfg.rounds + 1):
-        t_left = (p - 1) * cfg.dt if not cfg.adaptive_dt else t_elapsed
-        beta = beta_schedule(min(t_left, cfg.rounds * cfg.dt), cfg.rounds, cfg.dt, cfg.beta)
+        beta = beta_schedule(min(t_elapsed, cfg.rounds * cfg.dt), cfg.rounds, cfg.dt, cfg.beta)
         o_used = o_cur
-        alpha = beta * o_used if cfg.ansatz == "qaoa_feedback" or cfg.lightcone_feedback else beta
+        alpha = beta * o_used if mixer.feedback else beta
         hf_before = hf_after
 
         dt_p = cfg.dt
         if cfg.adaptive_dt:
-            dt_p = _adaptive_dt(h, cfg, two, alpha, o_used, hf_before, eta_coefficients, mixer)
+            dt_p = _adaptive_dt(mixer, cfg, two, alpha, o_used, hf_before)
 
         one_param_step(one, [alpha], [o_used], dt_p, q_exp=float(m))
         froze = False
@@ -192,9 +224,9 @@ def _run_loop(
                 froze = True
             two_violated = two.last_violated
 
-        apply_layers(state, alpha, dt_p)
+        mixer.apply(state, alpha, dt_p)
 
-        o_cur = feedback_observable(state, mixer, h.diag)
+        o_cur = mixer.observe(state)
         hf_after = expectation_diagonal(state, h.diag)
         _check_finite(p, o_cur, hf_after)
         if p % NORM_CHECK_EVERY == 0:
@@ -237,17 +269,17 @@ def _check_norm(p: int, state) -> None:
         raise StateError(f"norm drift {drift:.3e} after round {p} exceeds {NORM_TOL:g}")
 
 
-def _adaptive_dt(h, cfg, two, alpha, o_cur, hf_before, eta_coefficients, mixer):
+def _adaptive_dt(mixer, cfg, two, alpha, o_cur, hf_before):
     """Admissible step under the error budget, conservative in the next x value.
 
     A first pass bounds dt with the current x; the x value implied by that dt
     can only shrink the second-pass dt, so the final dt is admissible for the
     x it actually produces.
     """
-    bounds = error_constants(h, [alpha] * len(mixer.terms), eta_coefficients)
+    bounds = mixer.norm_bounds(alpha)
     dt1 = min(cfg.dt, max_step_size(bounds, cfg.epsilon, x_next=two.x))
     gain1 = max(alpha * o_cur * dt1, 0.0)
-    q_two = float(h.m) - hf_before
+    q_two = float(mixer.h.m) - hf_before
     c1 = q_two - gain1
     x1 = two.x * q_two / c1 if (q_two > 0 and c1 > 0 and not two.frozen) else two.x
     return min(dt1, max_step_size(bounds, cfg.epsilon, x_next=max(x1, two.x)))
@@ -262,20 +294,7 @@ def run_qaoa_feedback(
     stop_at_true_ratio: Optional[float] = None,
 ) -> list[StepTrace]:
     """Transverse-field feedback ansatz: diagonal phase layer then n RX rotations."""
-    mixer = sum_x(g.n)
-    inv_m = 1.0 / h.m
-
-    def apply_layers(state, alpha, dt_p):
-        apply_diagonal_phase(state, h.diag, dt_p * inv_m)
-        for j in range(g.n):
-            apply_rx(state, j, alpha * dt_p)
-
-    return _run_loop(
-        h, cfg, oracle, mixer, apply_layers,
-        eta_coefficients=[inv_m] * h.m,
-        observer=observer,
-        stop_at_true_ratio=stop_at_true_ratio,
-    )
+    return _run_loop(Mixer(h, sum_x(g.n)), cfg, oracle, observer, stop_at_true_ratio)
 
 
 def run_light_cone(
@@ -286,23 +305,8 @@ def run_light_cone(
     observer: Optional[Callable] = None,
     stop_at_true_ratio: Optional[float] = None,
 ) -> list[StepTrace]:
-    """BFS-oriented YZ-rotation ansatz with no commuting layer.
-
-    The whole oriented YZ sum acts as a single feedback term. With feedback on
-    (the default) the layer coefficient is beta * O, which keeps the
-    certificate increments nonnegative; with feedback off the literal beta
-    coefficient is used and negative increments are clamped by the trackers.
-    """
-    order = bfs_order(g, root=0)
-    mixer = sum_yz(order.oriented_edges)
-
-    def apply_layers(state, alpha, dt_p):
-        for j, k in order.oriented_edges:
-            apply_ryz(state, j, k, alpha * dt_p)
-
-    return _run_loop(
-        h, cfg, oracle, mixer, apply_layers,
-        eta_coefficients=[],
-        observer=observer,
-        stop_at_true_ratio=stop_at_true_ratio,
-    )
+    """BFS-oriented YZ-rotation ansatz with no commuting layer; the whole oriented
+    YZ sum is one feedback term, and cfg.lightcone_feedback turns the feedback off."""
+    edges = bfs_order(g, root=0).oriented_edges
+    mixer = Mixer(h, sum_yz(edges), feedback=cfg.lightcone_feedback, yz_edges=edges)
+    return _run_loop(mixer, cfg, oracle, observer, stop_at_true_ratio)

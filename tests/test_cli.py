@@ -131,3 +131,19 @@ def test_config_file_unknown_key_names_the_key(tmp_path):
     with pytest.raises(SystemExit, match=r"unknown key\(s\) instance_per_n in"):
         main(["suite", "--config", str(cfg_path), "--out", str(tmp_path / "suite")])
     assert not (tmp_path / "suite").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("ansatz", "qaoaa", r"ansatz 'qaoaa' in .* is not one of: light_cone, lightcone, qaoa, qaoa_feedback$"),
+    ("family", "cubic", r"family 'cubic' in .* is not one of: bipartite, er, erdos_renyi, regular3$"),
+    # A JSON string is truthy: "false" must not switch adaptive mode on.
+    ("adaptive_dt", "false", r"adaptive_dt 'false' in .* must be JSON true or false$"),
+    ("lightcone_feedback", 0, r"lightcone_feedback 0 in .* must be JSON true or false$"),
+    ("exhaustive_cubic", "true", r"exhaustive_cubic 'true' in .* must be JSON true or false$"),
+], ids=["ansatz", "family", "adaptive_dt", "lightcone_feedback", "exhaustive_cubic"])
+def test_config_file_bad_value_names_key_value_and_choices(tmp_path, key, value, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"family": "regular3", "n_list": [6], "rounds": 5, key: value}))
+    with pytest.raises(SystemExit, match=message):
+        main(["suite", "--config", str(cfg_path), "--out", str(tmp_path / "suite")])
+    assert not (tmp_path / "suite").exists()

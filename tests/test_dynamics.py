@@ -144,6 +144,15 @@ class TestQaoaFeedback:
         assert len(traces) < 10_000
         assert all(tr.true_ratio < 0.8 for tr in traces[:-1])
 
+    def test_feedback_stays_on_under_a_light_cone_config(self):
+        g = gen_random_regular(8, 3, seed=2)
+        h = build_maxcut(g)
+        cfg = RunConfig(ansatz="light_cone", rounds=30, lightcone_feedback=False)
+        traces = run_qaoa_feedback(g, h, cfg, brute_force_max_cut(g))
+        assert traces == run_qaoa_feedback(g, h, RunConfig(rounds=30), brute_force_max_cut(g))
+        assert all(tr.alpha == tr.beta * tr.O for tr in traces)
+        assert any(tr.alpha != tr.beta for tr in traces)
+
     def test_certificates_match_plain_tracker_replay(self, cubic10):
         # Replaying the recorded (beta, O) stream through the raw update rules
         # must land on the same certified bounds.
@@ -190,10 +199,12 @@ class TestLightCone:
             assert tr.lambda_lb <= tr.true_ratio + 1e-9
             assert tr.two_param_lb <= tr.true_ratio + 1e-9
 
-    def test_literal_beta_mode_is_sound(self):
+    @pytest.mark.parametrize("ansatz", ["light_cone", "qaoa_feedback"])
+    def test_literal_beta_mode_is_sound(self, ansatz):
+        # The runner, not cfg.ansatz, decides whether the feedback rule applies.
         g = gen_random_regular(8, 3, seed=2)
         h = build_maxcut(g)
-        cfg = RunConfig(ansatz="light_cone", rounds=30, lightcone_feedback=False)
+        cfg = RunConfig(ansatz=ansatz, rounds=30, lightcone_feedback=False)
         traces = run_light_cone(g, h, cfg, brute_force_max_cut(g))
         for tr in traces:
             assert tr.alpha == tr.beta
@@ -304,19 +315,23 @@ def counting(monkeypatch, name):
 
 
 class TestRoundLoopKernels:
+    @pytest.mark.parametrize("adaptive_dt", [False, True], ids=["fixed_dt", "adaptive_dt"])
     @pytest.mark.parametrize("runner, mixer_kernel", [(run_qaoa_feedback, "apply_rx"), (run_light_cone, "apply_ryz")])
-    def test_kernel_calls_per_round(self, monkeypatch, cubic10, runner, mixer_kernel):
+    def test_kernel_calls_per_round(self, monkeypatch, cubic10, runner, mixer_kernel, adaptive_dt):
         # The benchmark times these kernels through the names the round loop calls.
         g, h, oracle = cubic10
         energies = counting(monkeypatch, "expectation_diagonal")
         feedbacks = counting(monkeypatch, "feedback_observable")
         gates = counting(monkeypatch, mixer_kernel)
+        norm_bounds = counting(monkeypatch, "error_constants")
         seen = []
-        traces = runner(g, h, RunConfig(rounds=7), oracle, observer=lambda p, hf, one, two: seen.append(hf))
+        traces = runner(g, h, RunConfig(rounds=7, adaptive_dt=adaptive_dt), oracle,
+                        observer=lambda p, hf, one, two: seen.append(hf))
         assert len(energies) == 7 + 1
         assert len(feedbacks) == 7 + 1
         gates_per_round = g.n if mixer_kernel == "apply_rx" else len(bfs_order(g).oriented_edges)
         assert len(gates) == 7 * gates_per_round
+        assert len(norm_bounds) == (7 if adaptive_dt else 0)
         assert seen == [h.m / 2] + [tr.hf_exp for tr in traces]
         # One path: every kernel call sees the mirrored half, never a full state.
         for args in energies + feedbacks + gates:
