@@ -22,7 +22,7 @@ from .experiments import (
     write_summary,
     write_trace_csv,
 )
-from .graphs import Graph, brute_force_max_cut, load_graph, make_graph
+from .graphs import Graph, GraphError, brute_force_max_cut, load_graph, make_graph
 
 _FAMILY_ALIASES = {
     "regular3": "regular3",
@@ -63,6 +63,32 @@ def _flag(raw: dict, key: str, default: bool, where: str) -> bool:
     return value
 
 
+def _as_number(value, kind: type, key: str, where: str):
+    """value as kind, int or float: a JSON integer, or for float any JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        raise SystemExit(f"{key} {value!r} in {where} must be {'an integer' if kind is int else 'a number'}")
+    return kind(value)
+
+
+def _number(raw: dict, key: str, default, kind: type, where: str):
+    return _as_number(raw.get(key, default), kind, key, where)
+
+
+def _numbers(raw: dict, key: str, default: list, kind: type, where: str) -> tuple:
+    value = raw.get(key, default)
+    if not isinstance(value, list):
+        raise SystemExit(f"{key} {value!r} in {where} must be a JSON list")
+    return tuple(_as_number(v, kind, key, where) for v in value)
+
+
+def _spec_number(kv: dict, key: str, default: str, kind: type, spec: str):
+    try:
+        return kind(kv.get(key, default))
+    except ValueError:
+        raise SystemExit(f"{key}={kv[key]} in graph spec {spec} is not "
+                         f"{'an integer' if kind is int else 'a number'}") from None
+
+
 def _resolve_graph(arg: str) -> Graph:
     """Accept a path or a compact spec like 'regular3:n=10,seed=7'."""
     if Path(arg).exists():
@@ -73,10 +99,18 @@ def _resolve_graph(arg: str) -> Graph:
     family = _FAMILY_ALIASES.get(family)
     if family is None:
         raise SystemExit(f"unknown family in graph spec: {arg}")
-    kv = dict(item.split("=", 1) for item in params.split(",") if item)
+    kv = {}
+    for item in filter(None, params.split(",")):
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise SystemExit(f"key {key} in graph spec {arg} has no value; write {key}=...")
+        kv[key] = value
     _reject_unknown(kv, _GRAPH_SPEC_KEYS[family], f"graph spec {arg} for family {family}")
-    return make_graph(family, int(kv.get("n", "10")), int(kv.get("seed", "0")),
-                      p=float(kv.get("p", "0.5")), degree=int(kv.get("d", "3")))
+    try:
+        return make_graph(family, _spec_number(kv, "n", "10", int, arg), _spec_number(kv, "seed", "0", int, arg),
+                          p=_spec_number(kv, "p", "0.5", float, arg), degree=_spec_number(kv, "d", "3", int, arg))
+    except GraphError as err:
+        raise SystemExit(f"graph spec {arg}: {err}") from None
 
 
 def _config_from_file(path: str) -> SuiteSpec:
@@ -84,46 +118,57 @@ def _config_from_file(path: str) -> SuiteSpec:
         raw = json.load(fh)
     _reject_unknown(raw, _CONFIG_KEYS, path)
     beta_raw = raw.get("beta", {})
-    _reject_unknown(beta_raw, _BETA_KEYS, f"{path} (beta)")
+    if not isinstance(beta_raw, dict):
+        raise SystemExit(f"beta {beta_raw!r} in {path} must be a JSON object")
+    beta_where = f"{path} (beta)"
+    _reject_unknown(beta_raw, _BETA_KEYS, beta_where)
     beta = BetaParams(
-        c=float(beta_raw.get("c", 0.04)),
-        floor=float(beta_raw.get("floor", 0.5)),
-        rate=float(beta_raw.get("rate", 2.0)),
+        c=_number(beta_raw, "c", 0.04, float, beta_where),
+        floor=_number(beta_raw, "floor", 0.5, float, beta_where),
+        rate=_number(beta_raw, "rate", 2.0, float, beta_where),
     )
-    cfg = RunConfig(
-        ansatz=_choice(raw, "ansatz", "qaoa", _ANSATZ_ALIASES, path),
-        dt=float(raw.get("dt", 0.08)),
-        rounds=int(raw.get("rounds", 10_000)),
-        beta=beta,
-        epsilon=float(raw.get("epsilon", 1e-3)),
-        adaptive_dt=_flag(raw, "adaptive_dt", False, path),
-        lightcone_feedback=_flag(raw, "lightcone_feedback", True, path),
-        seed=int(raw.get("seed", 0)),
-    )
-    return SuiteSpec(
-        family=_choice(raw, "family", "regular3", _FAMILY_ALIASES, path),
-        n_list=tuple(int(n) for n in raw.get("n_list", [10])),
-        instances_per_n=int(raw.get("instances_per_n", 1)),
-        config=cfg,
-        targets=tuple(float(t) for t in raw.get("targets", [])),
-        p=float(raw.get("p", 0.5)),
-        oracle_cap=int(raw.get("oracle_cap", 20)),
-        snapshot_steps=tuple(int(s) for s in raw.get("snapshot_steps", [10, 100, 1000, 10000])),
-        exhaustive_cubic=_flag(raw, "exhaustive_cubic", False, path),
-    )
+    # RunConfig and SuiteSpec check ranges and name the field and value.
+    try:
+        cfg = RunConfig(
+            ansatz=_choice(raw, "ansatz", "qaoa", _ANSATZ_ALIASES, path),
+            dt=_number(raw, "dt", 0.08, float, path),
+            rounds=_number(raw, "rounds", 10_000, int, path),
+            beta=beta,
+            epsilon=_number(raw, "epsilon", 1e-3, float, path),
+            adaptive_dt=_flag(raw, "adaptive_dt", False, path),
+            lightcone_feedback=_flag(raw, "lightcone_feedback", True, path),
+            seed=_number(raw, "seed", 0, int, path),
+        )
+        return SuiteSpec(
+            family=_choice(raw, "family", "regular3", _FAMILY_ALIASES, path),
+            n_list=_numbers(raw, "n_list", [10], int, path),
+            instances_per_n=_number(raw, "instances_per_n", 1, int, path),
+            config=cfg,
+            targets=_numbers(raw, "targets", [], float, path),
+            p=_number(raw, "p", 0.5, float, path),
+            oracle_cap=_number(raw, "oracle_cap", 20, int, path),
+            snapshot_steps=_numbers(raw, "snapshot_steps", [10, 100, 1000, 10000], int, path),
+            exhaustive_cubic=_flag(raw, "exhaustive_cubic", False, path),
+        )
+    except ValueError as err:
+        raise SystemExit(f"{err} in {path}") from None
 
 
 def _cmd_run(args) -> int:
     g = _resolve_graph(args.graph)
-    cfg = RunConfig(
-        ansatz=_ANSATZ_ALIASES[args.ansatz],
-        dt=args.dt,
-        rounds=args.rounds,
-        epsilon=args.epsilon,
-        adaptive_dt=args.adaptive,
-        lightcone_feedback=not args.no_lightcone_feedback,
-        seed=args.seed,
-    )
+    try:
+        cfg = RunConfig(
+            ansatz=_ANSATZ_ALIASES[args.ansatz],
+            dt=args.dt,
+            rounds=args.rounds,
+            epsilon=args.epsilon,
+            adaptive_dt=args.adaptive,
+            lightcone_feedback=not args.no_lightcone_feedback,
+            seed=args.seed,
+        )
+    except ValueError as err:
+        # The fields that RunConfig checks (dt, rounds, epsilon) share their names with the flags.
+        raise SystemExit(f"lyapcut run: --{err}") from None
     oracle, traces = solve_instance(g, cfg, args.oracle_cap)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -58,9 +58,9 @@ class SuiteSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if not self.n_list:
-            raise ValueError("n_list must be nonempty")
+            raise ValueError(f"n_list must be nonempty, got {self.n_list}")
         if self.instances_per_n < 1:
-            raise ValueError("instances_per_n must be >= 1")
+            raise ValueError(f"instances_per_n must be >= 1, got {self.instances_per_n}")
         if any(not 0 < t < 1 for t in self.targets):
             raise ValueError(f"targets must lie in (0, 1), got {self.targets}")
         if self.workers < 1:

@@ -14,10 +14,10 @@ h. On a mirrored state:
   (n-1)-qubit array, and feedback and <H_f> are doubled for the mirror half;
 - a Z on qubit n-1 is +1 on h;
 - a flip of qubit n-1 maps x to 2^(n-1)-1-x inside h, because
-  psi(x + 2^(n-1)) = h[2^(n-1)-1-x]. RX and RYZ read the partner of every
-  amplitude from h[::-1]; feedback terms on qubit n-1 pair the lower quarter
-  of h with the upper quarter reversed, each pair once, and are doubled
-  like the other qubits';
+  psi(x + 2^(n-1)) = h[2^(n-1)-1-x]. RX, RYZ and pure X_j feedback terms read
+  every partner from h[::-1]; feedback terms with a Z string pair the lower
+  quarter of h with the upper quarter reversed, each pair once; feedback on
+  qubit n-1 is doubled like the other qubits';
 - a diagonal table is still passed as the full 2^n table and must be
   complement-symmetric, diag == diag[::-1]; the kernels read diag[:2^(n-1)].
   Every cut table is, because a cut does not change when all sides swap;
@@ -313,7 +313,7 @@ def expectation_pauli(state: StateVector, obs: ObservableTerms) -> float:
         raise StateError("observable touches qubits outside the state")
     amps = state.full() if state.mirrored else state.amplitudes
     applied = apply_observable(amps, state.n_qubits, obs)
-    return float(np.vdot(amps, applied).real)
+    return float(np.einsum("i,i->", amps.conj(), applied).real)
 
 
 def _signed_sum(values: np.ndarray, bits) -> float:
@@ -324,21 +324,36 @@ def _signed_sum(values: np.ndarray, bits) -> float:
     return float(values.sum())
 
 
+def _partner_overlap(amps: np.ndarray, e: np.ndarray, j: int, top: int) -> float:
+    """Re sum_y conj((X_j amps)[y]) e[y], one einsum over float views. Qubit top
+    reads amps reversed; runs of 2-4 floats (qubits 0, 1 and top) are walked
+    transposed, so the long axis is innermost."""
+    shape = (1, -1, 2) if j == top else (-1, 2, 2 << j)
+    p, w = amps.view(np.float64).reshape(shape)[:, ::-1, :], e.view(np.float64).reshape(shape)
+    if shape[-1] <= 4:
+        p, w = p.T, w.T
+    return float(np.einsum("ijk,ijk->", p, w, order="C"))
+
+
 def feedback_observable(state: StateVector, mixer: ObservableTerms, diag: np.ndarray) -> float:
     """Expectation of i[A, H_f] for Hermitian mixer A and diagonal H_f = D.
 
     O = -2 Im <psi| A (D psi)>, evaluated in closed form per kind of term:
 
-    - c X_j Z_S and c Y_j Z_S (S may be empty): over the amplitude pairs
-      (a0, a1) that differ in bit j, with Delta_j = D|bit j=1 - D|bit j=0 and
-      s_S the sign of Z_S, a Y term gives +2c sum s_S Re(conj(a0) a1) Delta_j
-      and an X term gives -2c sum s_S Im(conj(a0) a1) Delta_j.
+    - c X_j with no Z string: <psi| X_j D |psi> = sum_y conj(psi(y ^ 2^j)) (D psi)(y),
+      so the term gives -2c sum_y Re(conj(psi(y ^ 2^j)) e(y)), e = -i D psi:
+      one buffer of the stored size per call, then one contraction per qubit.
+    - c X_j Z_S with S not empty, and every c Y_j Z_S, use the pair form:
+      over the amplitude pairs (a0, a1) that differ in bit j, with
+      Delta_j = D|bit j=1 - D|bit j=0 and s_S the sign of Z_S, a Y term gives
+      +2c sum s_S Re(conj(a0) a1) Delta_j and an X term gives
+      -2c sum s_S Im(conj(a0) a1) Delta_j.
     - Pure-Z terms commute with D and give 0.
 
     A term that flips two or more qubits raises StateError, and so does, on a
     mirrored state, a term that anticommutes with the global flip.
-    On a mirrored state every pair stands for itself and its mirror image,
-    and so counts twice.
+    On a mirrored state every sum counts twice, for the mirror image, and a Z
+    on qubit n-1 is +1, so X_j Z_(n-1) counts as a pure X term.
     """
     amps, n = state.amplitudes, state.n_qubits
     diag = _diag_for(state, diag)
@@ -353,16 +368,30 @@ def feedback_observable(state: StateVector, mixer: ObservableTerms, diag: np.nda
     # on the lower quarter for j = n-1: a Z there is +1 either way.
     mirror_scale, z_plus = (2.0, n - 2) if state.mirrored else (1.0, None)
     total = 0.0
+    e = None
     # d1 - d0 can be negative, so an unsigned cut table needs a signed difference.
     signed = np.result_type(diag.dtype, np.int8)
     for (j, letter), group in groups.items():
+        paired, pure = [], 0.0
+        for c, z_bits in group:
+            if z_bits and z_bits[-1] == z_plus:
+                z_bits = z_bits[:-1]
+            if z_bits or letter == "Y":
+                paired.append((c, z_bits))
+            else:
+                pure += c
+        if pure:
+            if e is None:
+                e = np.multiply(amps, diag)
+                e *= -1j
+            total -= 2.0 * mirror_scale * pure * _partner_overlap(amps, e, j, top)
+        if not paired:
+            continue
         (a0, a1), (d0, d1) = _pairs(amps, j, top), _pairs(diag, j, top)
         w = a0.conj()
         w *= a1
         weighted = (w.real if letter == "Y" else w.imag) * np.subtract(d1, d0, dtype=signed)
         scale = (2.0 if letter == "Y" else -2.0) * mirror_scale
-        for c, z_bits in group:
-            if z_bits and z_bits[-1] == z_plus:
-                z_bits = z_bits[:-1]
+        for c, z_bits in paired:
             total += scale * c * _signed_sum(weighted, z_bits)
     return float(total + 0.0)

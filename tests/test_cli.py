@@ -119,6 +119,18 @@ def test_graph_spec_key_the_family_ignores_names_key_and_family(capsys, spec, ke
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("regular3:n=ten", r"n=ten in graph spec regular3:n=ten is not an integer$"),
+    ("er:n=10,p=abc", r"p=abc in graph spec er:n=10,p=abc is not a number$"),
+    ("regular3:n", r"key n in graph spec regular3:n has no value"),
+    ("regular3:n=7,seed=1", r"graph spec regular3:n=7,seed=1: n\*d must be even"),
+], ids=["int", "float", "no_equals", "family_check"])
+def test_graph_spec_bad_value_names_spec_and_key(capsys, spec, message):
+    with pytest.raises(SystemExit, match=message):
+        main(["oracle", "--graph", spec])
+    assert capsys.readouterr().out == ""
+
+
 def test_run_builds_the_cut_table_once(tmp_path, cut_table_calls):
     assert main(["run", "--graph", "regular3:n=8,seed=1", "--rounds", "3", "--out", str(tmp_path)]) == 0
     assert cut_table_calls == [8]
@@ -140,10 +152,29 @@ def test_config_file_unknown_key_names_the_key(tmp_path):
     ("adaptive_dt", "false", r"adaptive_dt 'false' in .* must be JSON true or false$"),
     ("lightcone_feedback", 0, r"lightcone_feedback 0 in .* must be JSON true or false$"),
     ("exhaustive_cubic", "true", r"exhaustive_cubic 'true' in .* must be JSON true or false$"),
-], ids=["ansatz", "family", "adaptive_dt", "lightcone_feedback", "exhaustive_cubic"])
+    ("rounds", "ten", r"rounds 'ten' in .*cfg\.json must be an integer$"),
+    ("rounds", 0, r"rounds must be >= 1, got 0 in .*cfg\.json$"),
+    ("n_list", 10, r"n_list 10 in .*cfg\.json must be a JSON list$"),
+    ("n_list", [6, "8"], r"n_list '8' in .*cfg\.json must be an integer$"),
+    ("beta", {"c": "x"}, r"c 'x' in .*cfg\.json \(beta\) must be a number$"),
+    ("beta", 3, r"beta 3 in .*cfg\.json must be a JSON object$"),
+    ("dt", True, r"dt True in .*cfg\.json must be a number$"),
+    ("instances_per_n", 0, r"instances_per_n must be >= 1, got 0 in .*cfg\.json$"),
+], ids=["ansatz", "family", "adaptive_dt", "lightcone_feedback", "exhaustive_cubic", "rounds_text",
+        "rounds_zero", "n_list_scalar", "n_list_item", "beta_c", "beta_scalar", "dt_bool", "instances_zero"])
 def test_config_file_bad_value_names_key_value_and_choices(tmp_path, key, value, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"family": "regular3", "n_list": [6], "rounds": 5, key: value}))
     with pytest.raises(SystemExit, match=message):
         main(["suite", "--config", str(cfg_path), "--out", str(tmp_path / "suite")])
     assert not (tmp_path / "suite").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--dt", "0", r"--dt must be positive, got 0\.0$"),
+    ("--rounds", "0", r"--rounds must be >= 1, got 0$"),
+], ids=["dt", "rounds"])
+def test_run_bad_option_value_names_the_flag(tmp_path, flag, value, message):
+    with pytest.raises(SystemExit, match=message):
+        main(["run", "--graph", "regular3:n=8,seed=1", flag, value, "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()

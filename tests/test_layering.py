@@ -1,9 +1,12 @@
-"""Modules of the package import only each other's public names."""
+"""Modules of the package import only each other's public names, and the
+statevector kernels make no BLAS call."""
 
 import ast
 from pathlib import Path
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "lyapcut"
+# numpy entry points that reach BLAS; np.einsum does too when passed optimize=.
+BLAS_CALLS = ("dot", "vdot", "tensordot", "matmul", "inner")
 
 
 def private_imports(source: str) -> list[str]:
@@ -25,3 +28,26 @@ def test_detector_flags_a_private_import():
     assert private_imports("from .experiments import run_suite, _atomic_write\n") == [
         "from .experiments import _atomic_write"
     ]
+
+
+def blas_calls(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        if isinstance(node.func, ast.Attribute) and node.func.attr in BLAS_CALLS:
+            found.append(name)
+        found += [f"{name}(optimize=...)" for kw in node.keywords if kw.arg == "optimize"]
+    return found
+
+
+def test_statevector_kernels_make_no_blas_call():
+    # Pool workers inherit the parent's BLAS threads, and the kernels run in them.
+    assert blas_calls((PACKAGE_DIR / "statevector.py").read_text(encoding="utf-8")) == []
+
+
+def test_detector_flags_blas_calls():
+    source = ("v = np.vdot(a, b)\nw = numpy.matmul(a, b)\nz = h.real.dot(d)\n"
+              "x = np.einsum('i,i->', a, b, optimize=True)\ny = np.einsum('i,i->', a, b)\n")
+    assert blas_calls(source) == ["np.vdot", "numpy.matmul", "h.real.dot", "np.einsum(optimize=...)"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -540,11 +541,37 @@ class TestMirroredState:
         edges = connected_edges(n, rng)
         diag = naive_cut_table(n, edges)
         oriented = bfs_order(Graph.from_edges(n, edges)).oriented_edges
-        for pairs in ([(1.0, {j: "X"}) for j in range(n)], [(1.0, {j: "Y", k: "Z"}) for j, k in oriented]):
+        # Distinct weights on every qubit, 0, 1 and n-1 among them; from n=3 on,
+        # an X_j Z_a Z_b term sends part of qubit j's group down the pair path.
+        weighted = [(0.3 + 0.7 * j * (-1) ** j, {j: "X"}) for j in range(n)]
+        if n >= 3:
+            j = (0, 1, n - 1)[n % 3]
+            a, b = [q for q in range(n) if q != j][:2]
+            weighted.append((-1.3, {j: "X", a: "Z", b: "Z"}))
+        for pairs in ([(1.0, {j: "X"}) for j in range(n)], [(1.0, {j: "Y", k: "Z"}) for j, k in oriented], weighted):
             mixer = ObservableTerms.from_pairs(pairs)
             for _ in range(3):
                 s = random_mirrored(n, rng)
                 assert abs(feedback_observable(s, mixer, diag) - dense_feedback(s.full(), pairs, diag)) < 1e-10
+
+    @pytest.mark.parametrize("mixer_of", [lambda g: sum_x(g.n), lambda g: sum_yz(bfs_order(g).oriented_edges)],
+                             ids=["sum_x", "sum_yz"])
+    def test_feedback_allocates_at_most_one_state_sized_buffer(self, mixer_of):
+        # At n=16 the 512 KiB half is four times numpy's 8192-element cast
+        # buffer; at n <= 14 that buffer alone is as large as the state.
+        n = 16
+        rng = np.random.default_rng(280)
+        g = Graph.from_edges(n, connected_edges(n, rng))
+        diag = naive_cut_table(n, g.edges).astype(np.uint16)
+        s, mixer = random_mirrored(n, rng), mixer_of(g)
+        feedback_observable(s, mixer, diag)
+        tracemalloc.start()
+        try:
+            feedback_observable(s, mixer, diag)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * s.amplitudes.nbytes + 4096
 
     @pytest.mark.parametrize("n", MIRROR_SIZES)
     def test_feedback_for_weighted_even_terms_with_z_partners(self, n):
