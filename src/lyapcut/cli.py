@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -15,6 +16,7 @@ from .experiments import (
     SuiteSpec,
     atomic_write,
     convergence_experiment,
+    convergence_targets,
     emit_plot,
     fit_loglog,
     run_suite,
@@ -34,13 +36,11 @@ _FAMILY_ALIASES = {
 _ANSATZ_ALIASES = {"qaoa": "qaoa_feedback", "qaoa_feedback": "qaoa_feedback",
                    "lightcone": "light_cone", "light_cone": "light_cone"}
 
-# The spec keys each family reads; make_graph ignores p for regular3 and d for the others.
-_GRAPH_SPEC_KEYS = {"regular3": ("n", "seed", "d"), "erdos_renyi": ("n", "seed", "p"),
-                    "bipartite": ("n", "seed", "p")}
-_CONFIG_KEYS = ("family", "n_list", "instances_per_n", "dt", "rounds", "beta", "epsilon",
-                "adaptive_dt", "lightcone_feedback", "seed", "ansatz", "targets", "p",
-                "oracle_cap", "snapshot_steps", "exhaustive_cubic")
-_BETA_KEYS = ("c", "floor", "rate")
+# The spec keys each family reads, with the make_graph argument each sets and its type;
+# make_graph ignores p for regular3 and d for the others.
+_N_SEED = {"n": ("n", int), "seed": ("seed", int)}
+_GRAPH_SPEC_KEYS = {"regular3": {**_N_SEED, "d": ("degree", int)}, "erdos_renyi": {**_N_SEED, "p": ("p", float)},
+                    "bipartite": {**_N_SEED, "p": ("p", float)}}
 
 
 def _reject_unknown(keys, known, where: str) -> None:
@@ -49,43 +49,48 @@ def _reject_unknown(keys, known, where: str) -> None:
         raise SystemExit(f"unknown key(s) {', '.join(unknown)} in {where}; known: {', '.join(known)}")
 
 
-def _choice(raw: dict, key: str, default: str, aliases: dict, where: str) -> str:
-    value = raw.get(key, default)
-    if not isinstance(value, str) or value not in aliases:
-        raise SystemExit(f"{key} {value!r} in {where} is not one of: {', '.join(sorted(aliases))}")
-    return aliases[value]
-
-
-def _flag(raw: dict, key: str, default: bool, where: str) -> bool:
-    value = raw.get(key, default)
-    if not isinstance(value, bool):
-        raise SystemExit(f"{key} {value!r} in {where} must be JSON true or false")
-    return value
-
-
-def _as_number(value, kind: type, key: str, where: str):
-    """value as kind, int or float: a JSON integer, or for float any JSON number."""
+def _read(value, kind, key: str, where: str):
+    """value as kind: int, float, bool, [int], an alias dict or BetaParams; else stop naming key and value."""
+    if isinstance(kind, dict):
+        if not isinstance(value, str) or value not in kind:
+            raise SystemExit(f"{key} {value!r} in {where} is not one of: {', '.join(sorted(kind))}")
+        return kind[value]
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise SystemExit(f"{key} {value!r} in {where} must be a JSON list")
+        return tuple(_read(v, kind[0], key, where) for v in value)
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise SystemExit(f"{key} {value!r} in {where} must be JSON true or false")
+        return value
+    if kind is BetaParams:
+        if not isinstance(value, dict):
+            raise SystemExit(f"{key} {value!r} in {where} must be a JSON object")
+        where = f"{where} ({key})"
+        _reject_unknown(value, [f.name for f in dataclasses.fields(BetaParams)], where)
+        return BetaParams(**{k: _read(v, float, k, where) for k, v in value.items()})
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
         raise SystemExit(f"{key} {value!r} in {where} must be {'an integer' if kind is int else 'a number'}")
     return kind(value)
 
 
-def _number(raw: dict, key: str, default, kind: type, where: str):
-    return _as_number(raw.get(key, default), kind, key, where)
+# Every suite-config key: its kind and the default for an absent key. None keeps the default of
+# the RunConfig or SuiteSpec field of that name; family, n_list and instances_per_n have none.
+_CONFIG_KEYS = {
+    "family": (_FAMILY_ALIASES, "regular3"), "n_list": ([int], [10]), "instances_per_n": (int, 1),
+    "dt": (float, None), "rounds": (int, None), "beta": (BetaParams, None), "epsilon": (float, None),
+    "adaptive_dt": (bool, None), "lightcone_feedback": (bool, None), "seed": (int, None),
+    "ansatz": (_ANSATZ_ALIASES, None), "p": (float, None), "oracle_cap": (int, None),
+    "snapshot_steps": ([int], None), "exhaustive_cubic": (bool, None),
+}
+_RUN_FIELDS = frozenset(f.name for f in dataclasses.fields(RunConfig))
 
 
-def _numbers(raw: dict, key: str, default: list, kind: type, where: str) -> tuple:
-    value = raw.get(key, default)
-    if not isinstance(value, list):
-        raise SystemExit(f"{key} {value!r} in {where} must be a JSON list")
-    return tuple(_as_number(v, kind, key, where) for v in value)
-
-
-def _spec_number(kv: dict, key: str, default: str, kind: type, spec: str):
+def _spec_number(value: str, key: str, kind: type, spec: str):
     try:
-        return kind(kv.get(key, default))
+        return kind(value)
     except ValueError:
-        raise SystemExit(f"{key}={kv[key]} in graph spec {spec} is not "
+        raise SystemExit(f"{key}={value} in graph spec {spec} is not "
                          f"{'an integer' if kind is int else 'a number'}") from None
 
 
@@ -106,9 +111,11 @@ def _resolve_graph(arg: str) -> Graph:
             raise SystemExit(f"key {key} in graph spec {arg} has no value; write {key}=...")
         kv[key] = value
     _reject_unknown(kv, _GRAPH_SPEC_KEYS[family], f"graph spec {arg} for family {family}")
+    graph_args = {"n": 10, "seed": 0}  # the spec's defaults; absent p and d keep make_graph's
+    graph_args.update((name, _spec_number(kv[key], key, kind, arg))
+                      for key, (name, kind) in _GRAPH_SPEC_KEYS[family].items() if key in kv)
     try:
-        return make_graph(family, _spec_number(kv, "n", "10", int, arg), _spec_number(kv, "seed", "0", int, arg),
-                          p=_spec_number(kv, "p", "0.5", float, arg), degree=_spec_number(kv, "d", "3", int, arg))
+        return make_graph(family, **graph_args)
     except GraphError as err:
         raise SystemExit(f"graph spec {arg}: {err}") from None
 
@@ -117,55 +124,34 @@ def _config_from_file(path: str) -> SuiteSpec:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     _reject_unknown(raw, _CONFIG_KEYS, path)
-    beta_raw = raw.get("beta", {})
-    if not isinstance(beta_raw, dict):
-        raise SystemExit(f"beta {beta_raw!r} in {path} must be a JSON object")
-    beta_where = f"{path} (beta)"
-    _reject_unknown(beta_raw, _BETA_KEYS, beta_where)
-    beta = BetaParams(
-        c=_number(beta_raw, "c", 0.04, float, beta_where),
-        floor=_number(beta_raw, "floor", 0.5, float, beta_where),
-        rate=_number(beta_raw, "rate", 2.0, float, beta_where),
-    )
+    values = {key: _read(raw.get(key, default), kind, key, path)
+              for key, (kind, default) in _CONFIG_KEYS.items() if key in raw or default is not None}
     # RunConfig and SuiteSpec check ranges and name the field and value.
     try:
-        cfg = RunConfig(
-            ansatz=_choice(raw, "ansatz", "qaoa", _ANSATZ_ALIASES, path),
-            dt=_number(raw, "dt", 0.08, float, path),
-            rounds=_number(raw, "rounds", 10_000, int, path),
-            beta=beta,
-            epsilon=_number(raw, "epsilon", 1e-3, float, path),
-            adaptive_dt=_flag(raw, "adaptive_dt", False, path),
-            lightcone_feedback=_flag(raw, "lightcone_feedback", True, path),
-            seed=_number(raw, "seed", 0, int, path),
-        )
-        return SuiteSpec(
-            family=_choice(raw, "family", "regular3", _FAMILY_ALIASES, path),
-            n_list=_numbers(raw, "n_list", [10], int, path),
-            instances_per_n=_number(raw, "instances_per_n", 1, int, path),
-            config=cfg,
-            targets=_numbers(raw, "targets", [], float, path),
-            p=_number(raw, "p", 0.5, float, path),
-            oracle_cap=_number(raw, "oracle_cap", 20, int, path),
-            snapshot_steps=_numbers(raw, "snapshot_steps", [10, 100, 1000, 10000], int, path),
-            exhaustive_cubic=_flag(raw, "exhaustive_cubic", False, path),
-        )
+        cfg = RunConfig(**{k: v for k, v in values.items() if k in _RUN_FIELDS})
+        spec = SuiteSpec(config=cfg, **{k: v for k, v in values.items() if k not in _RUN_FIELDS})
     except ValueError as err:
         raise SystemExit(f"{err} in {path}") from None
+    # A graph key that the family does not read (p for regular3) is refused, as in a graph spec.
+    unread = set().union(*_GRAPH_SPEC_KEYS.values()) - set(_GRAPH_SPEC_KEYS[spec.family])
+    _reject_unknown(raw, [k for k in _CONFIG_KEYS if k not in unread], f"{path} for family {spec.family}")
+    return spec
+
+
+def _targets(text: str) -> tuple[float, ...]:
+    """--targets as sorted numbers in (0, 1); argparse names the flag in the message."""
+    try:
+        return convergence_targets(float(t) for t in text.split(","))
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"{text!r}: {err}") from None
 
 
 def _cmd_run(args) -> int:
     g = _resolve_graph(args.graph)
+    # Each run flag stores under the RunConfig field it sets; an absent flag keeps the field default.
+    fields = {k: v for k, v in vars(args).items() if k in _RUN_FIELDS}
     try:
-        cfg = RunConfig(
-            ansatz=_ANSATZ_ALIASES[args.ansatz],
-            dt=args.dt,
-            rounds=args.rounds,
-            epsilon=args.epsilon,
-            adaptive_dt=args.adaptive,
-            lightcone_feedback=not args.no_lightcone_feedback,
-            seed=args.seed,
-        )
+        cfg = RunConfig(**{**fields, "ansatz": _ANSATZ_ALIASES[args.ansatz]})
     except ValueError as err:
         # The fields that RunConfig checks (dt, rounds, epsilon) share their names with the flags.
         raise SystemExit(f"lyapcut run: --{err}") from None
@@ -192,8 +178,7 @@ def _cmd_suite(args) -> int:
 
 def _cmd_convergence(args) -> int:
     spec = _config_from_file(args.config)
-    targets = tuple(float(t) for t in args.targets.split(","))
-    records = convergence_experiment(spec, targets)
+    records = convergence_experiment(spec, args.targets)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -204,7 +189,7 @@ def _cmd_convergence(args) -> int:
     atomic_write(out / "records.csv", "\n".join(lines) + "\n")
 
     fit_report = {}
-    for target in targets:
+    for target in args.targets:
         sub = [r for r in records if r.target == target]
         fits = {}
         try:
@@ -251,7 +236,11 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_gen(args) -> int:
     family = _FAMILY_ALIASES[args.family]
-    g = make_graph(family, args.n, args.seed, p=args.p, degree=args.d)
+    # --p and --d are passed only when given, so absent ones keep make_graph's defaults.
+    try:
+        g = make_graph(family, args.n, args.seed, **{k: getattr(args, k) for k in ("p", "degree") if k in args})
+    except GraphError as err:
+        raise SystemExit(f"lyapcut gen --family {args.family} --n {args.n}: {err}") from None
     Path(args.out).write_text(g.to_text(), encoding="utf-8")
     print(f"wrote {family} graph n={g.n} m={g.m} to {args.out}")
     return 0
@@ -264,14 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one instance and write its trace")
     p_run.add_argument("--graph", required=True, help="graph file or family spec like regular3:n=10,seed=7")
-    p_run.add_argument("--ansatz", choices=sorted(_ANSATZ_ALIASES), default="qaoa")
-    p_run.add_argument("--dt", type=float, default=0.08)
-    p_run.add_argument("--rounds", type=int, default=10_000)
-    p_run.add_argument("--adaptive", action="store_true")
-    p_run.add_argument("--epsilon", type=float, default=1e-3)
-    p_run.add_argument("--no-lightcone-feedback", action="store_true")
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--oracle-cap", type=int, default=20)
+    p_run.add_argument("--ansatz", choices=sorted(_ANSATZ_ALIASES), default=RunConfig.ansatz)
+    p_run.add_argument("--dt", type=float, default=argparse.SUPPRESS)
+    p_run.add_argument("--rounds", type=int, default=argparse.SUPPRESS)
+    p_run.add_argument("--adaptive", dest="adaptive_dt", action="store_true", default=argparse.SUPPRESS)
+    p_run.add_argument("--epsilon", type=float, default=argparse.SUPPRESS)
+    p_run.add_argument("--no-lightcone-feedback", dest="lightcone_feedback", action="store_false",
+                       default=argparse.SUPPRESS)
+    p_run.add_argument("--oracle-cap", type=int, default=SuiteSpec.oracle_cap)
     p_run.add_argument("--graph-id", default=None)
     p_run.add_argument("--out", required=True)
     p_run.set_defaults(func=_cmd_run)
@@ -283,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("convergence", help="rounds-to-target statistics and log-log fits")
     p_conv.add_argument("--config", required=True)
-    p_conv.add_argument("--targets", default="0.878,0.9326")
+    p_conv.add_argument("--targets", type=_targets, default="0.878,0.9326")
     p_conv.add_argument("--out", required=True)
     p_conv.set_defaults(func=_cmd_convergence)
 
@@ -294,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a graph and write the text format")
     p_gen.add_argument("--family", choices=sorted(_FAMILY_ALIASES), required=True)
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--d", type=int, default=3)
-    p_gen.add_argument("--p", type=float, default=0.5)
+    p_gen.add_argument("--d", dest="degree", metavar="D", type=int, default=argparse.SUPPRESS)
+    p_gen.add_argument("--p", type=float, default=argparse.SUPPRESS)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_gen)

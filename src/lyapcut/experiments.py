@@ -14,11 +14,12 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 from xml.sax.saxutils import escape
 
 from .dynamics import RunConfig, StepTrace, run_light_cone, run_qaoa_feedback
 from .graphs import (
+    CONNECTED_CUBIC_COUNTS,
     FAMILIES,
     CutOracleResult,
     Graph,
@@ -46,7 +47,6 @@ class SuiteSpec:
     n_list: tuple[int, ...]
     instances_per_n: int
     config: RunConfig
-    targets: tuple[float, ...] = ()
     p: float = 0.5
     degree: int = 3
     oracle_cap: int = 20
@@ -61,8 +61,11 @@ class SuiteSpec:
             raise ValueError(f"n_list must be nonempty, got {self.n_list}")
         if self.instances_per_n < 1:
             raise ValueError(f"instances_per_n must be >= 1, got {self.instances_per_n}")
-        if any(not 0 < t < 1 for t in self.targets):
-            raise ValueError(f"targets must lie in (0, 1), got {self.targets}")
+        if self.exhaustive_cubic and self.family != "regular3":
+            raise ValueError("exhaustive enumeration only applies to the cubic family")
+        if self.exhaustive_cubic and not set(self.n_list) <= CONNECTED_CUBIC_COUNTS.keys():
+            raise ValueError(f"exhaustive cubic enumeration supports n in {sorted(CONNECTED_CUBIC_COUNTS)}, "
+                             f"got {self.n_list}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -101,8 +104,6 @@ class PlotSeries:
 def suite_instances(spec: SuiteSpec):
     """Yield (graph_id, graph) pairs for the grid, deterministically seeded."""
     if spec.exhaustive_cubic:
-        if spec.family != "regular3":
-            raise ValueError("exhaustive enumeration only applies to the cubic family")
         for n in spec.n_list:
             for k, g in enumerate(enumerate_cubic(n, seed=spec.config.seed)):
                 yield f"{spec.family}_n{n:02d}_i{k:02d}", g
@@ -272,11 +273,19 @@ def run_suite(spec: SuiteSpec, output_dir) -> dict:
     return manifest
 
 
-def convergence_experiment(spec: SuiteSpec, targets: Sequence[float]) -> list[ConvergenceRecord]:
-    """First round at which each instance reaches each target true ratio."""
+def convergence_targets(targets: Iterable[float]) -> tuple[float, ...]:
+    """The targets sorted; there must be at least one, and each must lie in (0, 1)."""
     targets = tuple(sorted(targets))
     if not targets:
         raise ValueError("need at least one target")
+    if any(not 0 < t < 1 for t in targets):
+        raise ValueError(f"targets must lie in (0, 1), got {targets}")
+    return targets
+
+
+def convergence_experiment(spec: SuiteSpec, targets: Iterable[float]) -> list[ConvergenceRecord]:
+    """First round at which each instance reaches each target true ratio."""
+    targets = convergence_targets(targets)
     records = []
     for graph_id, g in suite_instances(spec):
         if g.n > spec.oracle_cap:

@@ -23,8 +23,8 @@ FAMILIES = ("regular3", "erdos_renyi", "bipartite")
 # Indices per block of cut_table; each block allocates an 8-byte index per entry.
 CUT_TABLE_BLOCK = 1 << 20
 
-# Connected cubic graph counts up to isomorphism, used by enumerate_cubic.
-_CONNECTED_CUBIC_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19}
+# Connected cubic graph counts up to isomorphism; enumerate_cubic supports exactly these sizes.
+CONNECTED_CUBIC_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19}
 
 
 class GraphError(ValueError):
@@ -401,9 +401,9 @@ def enumerate_cubic(n: int, seed: int = 0, max_samples: int = 200_000) -> tuple[
     reached, so the result is exhaustive for the supported sizes and
     deterministic for a fixed seed.
     """
-    if n not in _CONNECTED_CUBIC_COUNTS:
-        raise GraphError(f"exhaustive cubic enumeration supports n in {sorted(_CONNECTED_CUBIC_COUNTS)}")
-    target = _CONNECTED_CUBIC_COUNTS[n]
+    if n not in CONNECTED_CUBIC_COUNTS:
+        raise GraphError(f"exhaustive cubic enumeration supports n in {sorted(CONNECTED_CUBIC_COUNTS)}")
+    target = CONNECTED_CUBIC_COUNTS[n]
     found: list[Graph] = []
     for k in range(max_samples):
         g = gen_random_regular(n, 3, seed=(seed << 20) + k)

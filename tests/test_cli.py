@@ -1,8 +1,12 @@
 import json
+import re
 
 import pytest
 
+from lyapcut import cli
 from lyapcut.cli import main
+from lyapcut.dynamics import BetaParams, RunConfig
+from lyapcut.experiments import SuiteSpec
 from lyapcut.graphs import Graph
 
 
@@ -177,4 +181,120 @@ def test_config_file_bad_value_names_key_value_and_choices(tmp_path, key, value,
 def test_run_bad_option_value_names_the_flag(tmp_path, flag, value, message):
     with pytest.raises(SystemExit, match=message):
         main(["run", "--graph", "regular3:n=8,seed=1", flag, value, "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_family_check_names_family_and_reason(tmp_path, capsys):
+    out_file = tmp_path / "g.txt"
+    with pytest.raises(SystemExit, match=r"^lyapcut gen --family regular3 --n 7: n\*d must be even"):
+        main(["gen", "--family", "regular3", "--n", "7", "--out", str(out_file)])
+    assert not out_file.exists()
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("targets, message", [
+    ("0.6,x", r"argument --targets: '0\.6,x': could not convert string to float: 'x'"),
+    ("1.5", r"argument --targets: '1\.5': targets must lie in \(0, 1\), got \(1\.5,\)"),
+], ids=["not_a_number", "out_of_range"])
+def test_convergence_bad_targets_name_the_flag(tmp_path, capsys, targets, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_list": [6], "rounds": 5}))
+    with pytest.raises(SystemExit):
+        main(["convergence", "--config", str(cfg_path), "--targets", targets, "--out", str(tmp_path / "conv")])
+    assert re.search(message, capsys.readouterr().err)
+    assert not (tmp_path / "conv").exists()
+
+
+@pytest.mark.parametrize("command", ["suite", "convergence"])
+@pytest.mark.parametrize("config, message", [
+    ({"family": "er", "exhaustive_cubic": True},
+     r"^exhaustive enumeration only applies to the cubic family in .*cfg\.json$"),
+    ({"n_list": [12], "exhaustive_cubic": True},
+     r"^exhaustive cubic enumeration supports n in \[4, 6, 8, 10\], got \(12,\) in .*cfg\.json$"),
+], ids=["family", "n_list"])
+def test_exhaustive_cubic_config_checked_before_any_run(tmp_path, command, config, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit, match=message):
+        main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_key_the_family_ignores_names_key_and_family(tmp_path):
+    # The cubic grid never reads p, as a regular3 graph spec refuses p=.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"family": "regular3", "n_list": [6], "p": 0.2}))
+    with pytest.raises(SystemExit, match=r"^unknown key\(s\) p in .*cfg\.json for family regular3; known: "):
+        main(["suite", "--config", str(cfg_path), "--out", str(tmp_path / "suite")])
+    assert not (tmp_path / "suite").exists()
+
+
+@pytest.fixture
+def suite_spec_of(tmp_path, monkeypatch):
+    """The SuiteSpec that `lyapcut suite` builds from a config dict, captured instead of run."""
+    built = []
+    monkeypatch.setattr(cli, "run_suite", lambda spec, out: built.append(spec) or {"instances": [], "skipped": []})
+
+    def build(config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["suite", "--config", str(cfg_path), "--out", str(tmp_path / "suite")]) == 0
+        return built.pop()
+    return build
+
+
+# For every config key: a file that sets it to a value other than its default, and the value
+# the loader should build for it.
+NON_DEFAULT = {
+    "family": ({"family": "er"}, "erdos_renyi"),
+    "n_list": ({"n_list": [6, 8]}, (6, 8)),
+    "instances_per_n": ({"instances_per_n": 3}, 3),
+    "dt": ({"dt": 0.05}, 0.05),
+    "rounds": ({"rounds": 7}, 7),
+    "beta": ({"beta": {"c": 0.07, "floor": 0.3, "rate": 1.5}}, BetaParams(c=0.07, floor=0.3, rate=1.5)),
+    "epsilon": ({"epsilon": 0.002}, 0.002),
+    "adaptive_dt": ({"adaptive_dt": True}, True),
+    "lightcone_feedback": ({"lightcone_feedback": False}, False),
+    "seed": ({"seed": 9}, 9),
+    "ansatz": ({"ansatz": "lightcone"}, "light_cone"),
+    "p": ({"family": "bipartite", "p": 0.3}, 0.3),
+    "oracle_cap": ({"oracle_cap": 12}, 12),
+    "snapshot_steps": ({"snapshot_steps": [1, 5]}, (1, 5)),
+    "exhaustive_cubic": ({"exhaustive_cubic": True}, True),
+}
+
+
+def test_non_default_table_covers_every_config_key():
+    assert NON_DEFAULT.keys() == cli._CONFIG_KEYS.keys()
+
+
+@pytest.mark.parametrize("key", list(cli._CONFIG_KEYS))
+def test_config_key_lands_in_the_built_settings(suite_spec_of, key):
+    config, expected = NON_DEFAULT[key]
+    spec, default = suite_spec_of(config), suite_spec_of({})
+    read = (lambda s: getattr(s.config, key)) if hasattr(default.config, key) else (lambda s: getattr(s, key))
+    assert read(spec) == expected
+    assert read(default) != expected
+    if key == "beta":
+        assert all(getattr(spec.config.beta, f) != getattr(default.config.beta, f) for f in ("c", "floor", "rate"))
+
+
+def test_empty_config_builds_the_defaults(suite_spec_of):
+    assert suite_spec_of({}) == SuiteSpec(family="regular3", n_list=(10,), instances_per_n=1, config=RunConfig())
+
+
+def test_config_targets_key_is_refused(tmp_path):
+    # Convergence targets come from --targets only.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"targets": [0.5]}))
+    with pytest.raises(SystemExit, match=r"^unknown key\(s\) targets in "):
+        main(["convergence", "--config", str(cfg_path), "--out", str(tmp_path / "conv")])
+    assert not (tmp_path / "conv").exists()
+
+
+def test_run_has_no_seed_flag(tmp_path, capsys):
+    # The master seed of RunConfig drives suite grids only; a single run draws nothing from it.
+    with pytest.raises(SystemExit):
+        main(["run", "--graph", "regular3:n=4", "--seed", "1", "--out", str(tmp_path / "out")])
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -41,9 +41,18 @@ class TestSuiteSpec:
         with pytest.raises(ValueError):
             small_spec(family="hypercube")
 
-    def test_rejects_bad_targets(self):
-        with pytest.raises(ValueError):
-            small_spec(targets=(1.2,))
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(family="erdos_renyi"), r"^exhaustive enumeration only applies to the cubic family$"),
+        (dict(n_list=(6, 12)), r"supports n in \[4, 6, 8, 10\], got \(6, 12\)$"),
+    ], ids=["family", "n_list"])
+    def test_exhaustive_cubic_checked_on_construction(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            small_spec(exhaustive_cubic=True, **overrides)
+
+    def test_exhaustive_cubic_yields_every_class(self):
+        spec = small_spec(exhaustive_cubic=True, n_list=(4, 6))
+        assert [gid for gid, _ in suite_instances(spec)] == [
+            "regular3_n04_i00", "regular3_n06_i00", "regular3_n06_i01"]
 
     def test_instances_deterministic(self):
         spec = small_spec(family="erdos_renyi", n_list=(8, 10), instances_per_n=3)
@@ -169,6 +178,10 @@ class TestConvergence:
         spec = small_spec(config=RunConfig(rounds=5))
         records = convergence_experiment(spec, targets=[0.999999])
         assert all(r.rounds_to_target is None for r in records)
+
+    def test_rejects_bad_targets(self):
+        with pytest.raises(ValueError):
+            convergence_experiment(small_spec(), targets=(1.2,))
 
     def test_requires_oracle(self):
         spec = small_spec(n_list=(8,), family="erdos_renyi", oracle_cap=6, config=RunConfig(rounds=5))
