@@ -12,6 +12,7 @@ from pathlib import Path
 from .dynamics import BetaParams, RunConfig
 from .experiments import (
     ConvergenceRecord,
+    FitResult,
     PlotSeries,
     SuiteSpec,
     atomic_write,
@@ -41,6 +42,12 @@ _ANSATZ_ALIASES = {"qaoa": "qaoa_feedback", "qaoa_feedback": "qaoa_feedback",
 _N_SEED = {"n": ("n", int), "seed": ("seed", int)}
 _GRAPH_SPEC_KEYS = {"regular3": {**_N_SEED, "d": ("degree", int)}, "erdos_renyi": {**_N_SEED, "p": ("p", float)},
                     "bipartite": {**_N_SEED, "p": ("p", float)}}
+
+
+def _unread_graph_keys(family: str) -> dict[str, str]:
+    """The spec keys of other families that family does not read (p for regular3), with their make_graph names."""
+    return {key: name for keys in _GRAPH_SPEC_KEYS.values() for key, (name, _) in keys.items()
+            if key not in _GRAPH_SPEC_KEYS[family]}
 
 
 def _reject_unknown(keys, known, where: str) -> None:
@@ -80,8 +87,8 @@ _CONFIG_KEYS = {
     "family": (_FAMILY_ALIASES, "regular3"), "n_list": ([int], [10]), "instances_per_n": (int, 1),
     "dt": (float, None), "rounds": (int, None), "beta": (BetaParams, None), "epsilon": (float, None),
     "adaptive_dt": (bool, None), "lightcone_feedback": (bool, None), "seed": (int, None),
-    "ansatz": (_ANSATZ_ALIASES, None), "p": (float, None), "oracle_cap": (int, None),
-    "snapshot_steps": ([int], None), "exhaustive_cubic": (bool, None),
+    "ansatz": (_ANSATZ_ALIASES, None), "p": (float, None), "snapshot_steps": ([int], None),
+    "exhaustive_cubic": (bool, None),
 }
 _RUN_FIELDS = frozenset(f.name for f in dataclasses.fields(RunConfig))
 
@@ -122,7 +129,12 @@ def _resolve_graph(arg: str) -> Graph:
 
 def _config_from_file(path: str) -> SuiteSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise SystemExit(f"{path} is not valid JSON: {err.msg} at line {err.lineno} column {err.colno}") from None
+    if not isinstance(raw, dict):
+        raise SystemExit(f"{path} must hold a JSON object of config keys, got {type(raw).__name__}")
     _reject_unknown(raw, _CONFIG_KEYS, path)
     values = {key: _read(raw.get(key, default), kind, key, path)
               for key, (kind, default) in _CONFIG_KEYS.items() if key in raw or default is not None}
@@ -133,7 +145,7 @@ def _config_from_file(path: str) -> SuiteSpec:
     except ValueError as err:
         raise SystemExit(f"{err} in {path}") from None
     # A graph key that the family does not read (p for regular3) is refused, as in a graph spec.
-    unread = set().union(*_GRAPH_SPEC_KEYS.values()) - set(_GRAPH_SPEC_KEYS[spec.family])
+    unread = _unread_graph_keys(spec.family)
     _reject_unknown(raw, [k for k in _CONFIG_KEYS if k not in unread], f"{path} for family {spec.family}")
     return spec
 
@@ -155,16 +167,15 @@ def _cmd_run(args) -> int:
     except ValueError as err:
         # The fields that RunConfig checks (dt, rounds, epsilon) share their names with the flags.
         raise SystemExit(f"lyapcut run: --{err}") from None
-    oracle, traces = solve_instance(g, cfg, args.oracle_cap)
+    oracle, traces = solve_instance(g, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     graph_id = args.graph_id or f"run_n{g.n:02d}"
     write_trace_csv(out / f"{graph_id}.csv", graph_id, g, traces)
     write_summary(out / f"{graph_id}.json", graph_id, g, cfg, None, oracle, traces)
     last = traces[-1]
-    ratio = f" true_ratio={last.true_ratio:.6f}" if last.true_ratio is not None else ""
     print(f"{graph_id}: steps={last.step} hf/m={last.hf_over_m:.6f} "
-          f"lambda_lb={last.lambda_lb:.6f} two_param_lb={last.two_param_lb:.6f}{ratio}")
+          f"lambda_lb={last.lambda_lb:.6f} two_param_lb={last.two_param_lb:.6f} true_ratio={last.true_ratio:.6f}")
     return 0
 
 
@@ -176,9 +187,16 @@ def _cmd_suite(args) -> int:
     return 0
 
 
+# The log-log fits written per target, as (variant, q) arguments of fit_loglog.
+_FITS = (("all_points", None), ("per_n_max", None), ("per_n_quartile", 25.0), ("per_n_quartile", 75.0))
+
+
 def _cmd_convergence(args) -> int:
     spec = _config_from_file(args.config)
-    records = convergence_experiment(spec, args.targets)
+    try:
+        records = convergence_experiment(spec, args.targets)
+    except ValueError as err:  # such as an n_list entry above the state cap, refused before any run
+        raise SystemExit(f"{err} in {args.config}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -191,39 +209,36 @@ def _cmd_convergence(args) -> int:
     fit_report = {}
     for target in args.targets:
         sub = [r for r in records if r.target == target]
-        fits = {}
         try:
-            for which, q in (("all_points", None), ("per_n_max", None),
-                             ("per_n_quartile", 25.0), ("per_n_quartile", 75.0)):
-                fr = fit_loglog(sub, which=which, q=q)
-                fits[fr.which] = {"slope": fr.slope, "intercept": fr.intercept,
-                                  "n_points": fr.n_points, "excluded": fr.excluded}
+            fits = {fr.which: fr for fr in (fit_loglog(sub, which=which, q=q) for which, q in _FITS)}
+            fit_report[repr(target)] = {which: {"slope": fr.slope, "intercept": fr.intercept,
+                                                "n_points": fr.n_points, "excluded": fr.excluded}
+                                        for which, fr in fits.items()}
         except ValueError as err:
-            fits["error"] = str(err)
-        fit_report[repr(target)] = fits
-        _emit_convergence_plot(sub, out / f"loglog_{target:g}.svg")
+            fits = {}
+            fit_report[repr(target)] = {"error": str(err)}
+        _emit_convergence_plot(sub, fits, out / f"loglog_{target:g}.svg")
     atomic_write(out / "fits.json", json.dumps(fit_report, indent=2, sort_keys=True) + "\n")
     print(json.dumps(fit_report, indent=2, sort_keys=True))
     return 0
 
 
-def _emit_convergence_plot(records: list[ConvergenceRecord], path: Path) -> None:
+def _emit_convergence_plot(records: list[ConvergenceRecord], fits: dict[str, FitResult], path: Path) -> None:
+    """Scatter the reached records with the all-points and worst-per-size fit lines, if fitted, and n^2, n^3."""
     reached = [r for r in records if r.rounds_to_target is not None]
     if not reached:
         return
     ns = sorted({r.n for r in reached})
     series = [PlotSeries("instances", tuple(float(r.n) for r in reached),
                          tuple(float(r.rounds_to_target) for r in reached), "scatter")]
-    try:
-        for which, q, label in (("all_points", None, "fit all"), ("per_n_max", None, "fit worst")):
-            fr = fit_loglog(reached, which=which, q=q)
+    for which, label in (("all_points", "fit all"), ("per_n_max", "fit worst")):
+        if which in fits:
+            fr = fits[which]
             ys = tuple(10 ** (fr.intercept + fr.slope * math.log10(n)) for n in ns)
             series.append(PlotSeries(f"{label} (c={fr.slope:.2f})", tuple(float(n) for n in ns), ys, "line"))
-    except ValueError:
-        pass
     series.append(PlotSeries("n^2", tuple(float(n) for n in ns), tuple(float(n) ** 2 for n in ns), "line"))
     series.append(PlotSeries("n^3", tuple(float(n) for n in ns), tuple(float(n) ** 3 for n in ns), "line"))
-    emit_plot(series, "loglog_scatter", path)
+    emit_plot(series, path)
 
 
 def _cmd_oracle(args) -> int:
@@ -236,9 +251,14 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_gen(args) -> int:
     family = _FAMILY_ALIASES[args.family]
-    # --p and --d are passed only when given, so absent ones keep make_graph's defaults.
+    # Each flag stores under its make_graph name; --p and --d are present only when given.
+    unread = [f"--{key}" for key, name in _unread_graph_keys(family).items() if name in args]
+    if unread:
+        raise SystemExit(f"lyapcut gen --family {args.family}: {', '.join(unread)} not read by family {family}; "
+                         f"known: {', '.join('--' + key for key in _GRAPH_SPEC_KEYS[family])}")
     try:
-        g = make_graph(family, args.n, args.seed, **{k: getattr(args, k) for k in ("p", "degree") if k in args})
+        g = make_graph(family, **{name: getattr(args, name) for name, _ in _GRAPH_SPEC_KEYS[family].values()
+                                  if name in args})
     except GraphError as err:
         raise SystemExit(f"lyapcut gen --family {args.family} --n {args.n}: {err}") from None
     Path(args.out).write_text(g.to_text(), encoding="utf-8")
@@ -260,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--epsilon", type=float, default=argparse.SUPPRESS)
     p_run.add_argument("--no-lightcone-feedback", dest="lightcone_feedback", action="store_false",
                        default=argparse.SUPPRESS)
-    p_run.add_argument("--oracle-cap", type=int, default=SuiteSpec.oracle_cap)
     p_run.add_argument("--graph-id", default=None)
     p_run.add_argument("--out", required=True)
     p_run.set_defaults(func=_cmd_run)

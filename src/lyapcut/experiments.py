@@ -2,8 +2,9 @@
 
 Suites fan out over (size, instance) grids with a documented seed-splitting
 rule: the sub-seed of instance number k in the grid is master_seed XOR k.
-Every result file is written atomically (write to a temp name, then rename),
-and aggregation runs single-threaded over the completed results.
+Suites and convergence runs go through one instance loop that yields each
+result in grid order as it finishes; every result file is written atomically
+(write to a temp name, then rename) as its instance arrives.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ import dataclasses
 import json
 import math
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, get_type_hints
 from xml.sax.saxutils import escape
 
 from .dynamics import RunConfig, StepTrace, run_light_cone, run_qaoa_feedback
@@ -29,16 +32,14 @@ from .graphs import (
 )
 from .hamiltonian import build_maxcut
 
-TRACE_COLUMNS = (
-    "graph_id", "n", "m", "step", "t", "beta", "O", "alpha", "exp_hf",
-    "hf_over_m", "lambda_lb", "two_param_lb", "true_ratio", "violation",
-)
+_PARSE = {int: int, float: float, bool: lambda s: s == "1", Optional[float]: lambda s: float(s) if s else None}
+# (CSV column, StepTrace field, parser) for every trace column after graph_id,n,m, in StepTrace
+# field order; hf_exp is the one field written under another name.
+_STEP_COLUMNS = tuple(("exp_hf" if name == "hf_exp" else name, name, _PARSE[kind])
+                      for name, kind in get_type_hints(StepTrace).items())
+TRACE_COLUMNS = ("graph_id", "n", "m", *(column for column, _, _ in _STEP_COLUMNS))
 
 NOT_REACHED = None
-
-
-class MissingOracleError(ValueError):
-    """A convergence experiment needs the exact optimum for every instance."""
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ class SuiteSpec:
     config: RunConfig
     p: float = 0.5
     degree: int = 3
-    oracle_cap: int = 20
     snapshot_steps: tuple[int, ...] = (10, 100, 1000, 10000)
     exhaustive_cubic: bool = False
     workers: int = 1
@@ -92,12 +92,12 @@ class PlotSeries:
     label: str
     xs: tuple[float, ...]
     ys: tuple[float, ...]
-    style: str = "scatter"  # scatter | line | bar
+    style: str = "scatter"  # scatter | line
 
     def __post_init__(self) -> None:
         if len(self.xs) != len(self.ys):
             raise ValueError(f"series {self.label!r}: {len(self.xs)} xs vs {len(self.ys)} ys")
-        if self.style not in ("scatter", "line", "bar"):
+        if self.style not in ("scatter", "line"):
             raise ValueError(f"unknown style {self.style!r}")
 
 
@@ -120,13 +120,12 @@ def suite_instances(spec: SuiteSpec):
 def solve_instance(
     g: Graph,
     cfg: RunConfig,
-    oracle_cap: int,
     stop_at_true_ratio: Optional[float] = None,
-) -> tuple[Optional[CutOracleResult], list[StepTrace]]:
-    """Run the configured ansatz on g; the oracle, None above oracle_cap, is
-    read off the cut table of the same Hamiltonian, so the table is built once."""
+) -> tuple[CutOracleResult, list[StepTrace]]:
+    """Run the configured ansatz on g; the oracle is read off the cut table of
+    the same Hamiltonian, so the table is built once."""
     h = build_maxcut(g, cap=cfg.state_cap)
-    oracle = CutOracleResult.from_table(h.diag) if g.n <= oracle_cap else None
+    oracle = CutOracleResult.from_table(h.diag)
     runner = run_qaoa_feedback if cfg.ansatz == "qaoa_feedback" else run_light_cone
     return oracle, runner(g, h, cfg, oracle, stop_at_true_ratio=stop_at_true_ratio)
 
@@ -148,12 +147,8 @@ def atomic_write(path: Path, text: str) -> None:
 def write_trace_csv(path: Path, graph_id: str, g: Graph, traces: Sequence[StepTrace]) -> None:
     lines = [",".join(TRACE_COLUMNS)]
     for tr in traces:
-        lines.append(",".join([
-            graph_id, str(g.n), str(g.m), str(tr.step), _fmt(tr.t), _fmt(tr.beta),
-            _fmt(tr.O), _fmt(tr.alpha), _fmt(tr.hf_exp), _fmt(tr.hf_over_m),
-            _fmt(tr.lambda_lb), _fmt(tr.two_param_lb), _fmt(tr.true_ratio),
-            _fmt(tr.violation),
-        ]))
+        lines.append(",".join([graph_id, str(g.n), str(g.m),
+                               *(_fmt(getattr(tr, field)) for _, field, _ in _STEP_COLUMNS)]))
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -166,18 +161,15 @@ def read_trace_csv(path: Path) -> list[dict]:
         for line in fh:
             parts = line.rstrip("\n").split(",")
             row = dict(zip(TRACE_COLUMNS, parts))
-            for key in ("n", "m", "step"):
-                row[key] = int(row[key])
-            for key in ("t", "beta", "O", "alpha", "exp_hf", "hf_over_m", "lambda_lb", "two_param_lb"):
-                row[key] = float(row[key])
-            row["true_ratio"] = float(row["true_ratio"]) if row["true_ratio"] else None
-            row["violation"] = row["violation"] == "1"
+            row["n"], row["m"] = int(row["n"]), int(row["m"])
+            for column, _, parse in _STEP_COLUMNS:
+                row[column] = parse(row[column])
             rows.append(row)
     return rows
 
 
 def write_summary(path: Path, graph_id: str, g: Graph, cfg: RunConfig, family: Optional[str],
-                  oracle: Optional[CutOracleResult], traces: Sequence[StepTrace]) -> None:
+                  oracle: CutOracleResult, traces: Sequence[StepTrace]) -> None:
     """Write the per-instance summary JSON; family is None for a graph from outside a suite grid."""
     last = traces[-1]
     summary = {
@@ -188,7 +180,7 @@ def write_summary(path: Path, graph_id: str, g: Graph, cfg: RunConfig, family: O
         "parts": list(bipartite_parts(g.n)) if family == "bipartite" else None,
         "graph_hash": g.content_hash(),
         "config": dataclasses.asdict(cfg),
-        "oracle": None if oracle is None else {
+        "oracle": {
             "optimum": oracle.optimum,
             "one_maximizer": format(oracle.maximizers[0], f"0{g.n}b")[::-1],
         },
@@ -206,66 +198,71 @@ def write_summary(path: Path, graph_id: str, g: Graph, cfg: RunConfig, family: O
     atomic_write(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
-def _suite_worker(task):
-    graph_id, g, cfg, oracle_cap = task
-    return (graph_id, g, *solve_instance(g, cfg, oracle_cap))
+def _solve_each(spec: SuiteSpec, instances: Sequence[tuple[str, Graph]],
+                stop_at_true_ratio: Optional[float] = None):
+    """Yield (graph_id, g, oracle, traces) for each (graph_id, g) pair, in the given order.
+
+    With workers > 1 the runs fan out over a process pool, whose map keeps the
+    input order and hands each result over as soon as it and its predecessors
+    are done; each run only touches immutable inputs.
+    """
+    graphs = [g for _, g in instances]
+    if spec.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: sequential runs never pay for it
+
+        context = ProcessPoolExecutor(max_workers=spec.workers)
+    else:
+        context = nullcontext()
+    with context as pool:
+        solved = (pool.map if pool else map)(solve_instance, graphs, repeat(spec.config), repeat(stop_at_true_ratio))
+        for (graph_id, g), (oracle, traces) in zip(instances, solved):
+            yield graph_id, g, oracle, traces
 
 
 def run_suite(spec: SuiteSpec, output_dir) -> dict:
     """Run every instance of the grid; write trace CSV and summary JSON per
-    instance plus snapshot aggregates, and return the manifest.
+    instance as it finishes, then the snapshot aggregates, and return the manifest.
 
-    With workers > 1 the simulations fan out over a process pool; each run
-    only touches immutable inputs, and all file writes and the aggregation
-    stay in this thread, in grid order.
+    An instance above the state cap is skipped with a reason; the sub-seeds of
+    the others stay those of the full grid.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = []
+    instances = []
     skipped = []
     for graph_id, g in suite_instances(spec):
         if g.n > spec.config.state_cap:
             skipped.append({"graph_id": graph_id, "reason": f"n={g.n} above state cap {spec.config.state_cap}"})
-            continue
-        tasks.append((graph_id, g, spec.config, spec.oracle_cap))
-
-    if spec.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            completed = list(pool.map(_suite_worker, tasks))
-    else:
-        completed = [_suite_worker(t) for t in tasks]
-
-    results = []
-    for graph_id, g, oracle, traces in completed:
-        write_trace_csv(out / f"{graph_id}.csv", graph_id, g, traces)
-        write_summary(out / f"{graph_id}.json", graph_id, g, spec.config, spec.family, oracle, traces)
-        results.append((graph_id, g, traces))
+        else:
+            instances.append((graph_id, g))
 
     snapshots = sorted(s for s in set(spec.snapshot_steps) if 1 <= s <= spec.config.rounds)
+    at_snapshot = {}  # (n, step) -> the trace row at that step of each instance of size n, in grid order
+    done = []
+    for graph_id, g, oracle, traces in _solve_each(spec, instances):
+        write_trace_csv(out / f"{graph_id}.csv", graph_id, g, traces)
+        write_summary(out / f"{graph_id}.json", graph_id, g, spec.config, spec.family, oracle, traces)
+        done.append(graph_id)
+        for s in snapshots:
+            if len(traces) >= s:
+                at_snapshot.setdefault((g.n, s), []).append(traces[s - 1])
+
     agg_lines = ["family,n,step,instances,mean_true_ratio,mean_lambda_lb,mean_two_param_lb,mean_hf_over_m"]
     for n in spec.n_list:
-        group = [(gid, g, tr) for gid, g, tr in results if g.n == n]
-        if not group:
-            continue
         for s in snapshots:
-            rows = [tr[s - 1] for _, _, tr in group if len(tr) >= s]
+            rows = at_snapshot.get((n, s))
             if not rows:
                 continue
-            ratios = [r.true_ratio for r in rows if r.true_ratio is not None]
-            mean_ratio = sum(ratios) / len(ratios) if ratios else None
             agg_lines.append(",".join([
-                spec.family, str(n), str(s), str(len(rows)), _fmt(mean_ratio),
-                _fmt(sum(r.lambda_lb for r in rows) / len(rows)),
-                _fmt(sum(r.two_param_lb for r in rows) / len(rows)),
-                _fmt(sum(r.hf_over_m for r in rows) / len(rows)),
+                spec.family, str(n), str(s), str(len(rows)),
+                *(_fmt(sum(getattr(r, field) for r in rows) / len(rows))
+                  for field in ("true_ratio", "lambda_lb", "two_param_lb", "hf_over_m")),
             ]))
     atomic_write(out / "aggregates.csv", "\n".join(agg_lines) + "\n")
 
     manifest = {
         "family": spec.family,
-        "instances": [gid for gid, _, _ in results],
+        "instances": done,
         "skipped": skipped,
         "aggregates": "aggregates.csv",
     }
@@ -284,13 +281,17 @@ def convergence_targets(targets: Iterable[float]) -> tuple[float, ...]:
 
 
 def convergence_experiment(spec: SuiteSpec, targets: Iterable[float]) -> list[ConvergenceRecord]:
-    """First round at which each instance reaches each target true ratio."""
+    """First round at which each instance reaches each target true ratio.
+
+    A size above the state cap is refused before any run, since every
+    instance needs its exact ratio.
+    """
     targets = convergence_targets(targets)
+    over = [n for n in spec.n_list if n > spec.config.state_cap]
+    if over:
+        raise ValueError(f"n={over[0]} in n_list is above state cap {spec.config.state_cap}")
     records = []
-    for graph_id, g in suite_instances(spec):
-        if g.n > spec.oracle_cap:
-            raise MissingOracleError(f"{graph_id}: n={g.n} beyond oracle cap {spec.oracle_cap}")
-        _, traces = solve_instance(g, spec.config, spec.oracle_cap, stop_at_true_ratio=targets[-1])
+    for graph_id, g, _, traces in _solve_each(spec, list(suite_instances(spec)), stop_at_true_ratio=targets[-1]):
         for target in targets:
             hit = next((tr.step for tr in traces if tr.true_ratio >= target), NOT_REACHED)
             records.append(ConvergenceRecord(graph_id=graph_id, n=g.n, target=target, rounds_to_target=hit))
@@ -369,21 +370,8 @@ _W, _H = 760, 480
 _ML, _MR, _MT, _MB = 72, 24, 36, 56
 
 
-def _ticks_linear(lo: float, hi: float, count: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
-
-
-def emit_plot(series: Sequence[PlotSeries], kind: str, path) -> Path:
-    """Render series to a self-contained SVG plus a raw CSV next to it.
-
-    kind 'loglog_scatter' draws on log10 axes with decade ticks; 'ratio_bars'
-    draws grouped bars at categorical x positions with a [0, 1] y axis.
-    """
-    if kind not in ("ratio_bars", "loglog_scatter"):
-        raise ValueError(f"unknown plot kind {kind!r}")
+def emit_plot(series: Sequence[PlotSeries], path) -> Path:
+    """Render series on log10 axes with decade ticks to a self-contained SVG plus a raw CSV next to it."""
     series = list(series)
     if not series or all(len(s.xs) == 0 for s in series):
         raise ValueError("nothing to plot: empty series")
@@ -395,22 +383,12 @@ def emit_plot(series: Sequence[PlotSeries], kind: str, path) -> Path:
             csv_lines.append(f"{escape(s.label)},{_fmt(float(x))},{_fmt(float(y))}")
     atomic_write(path.with_suffix(".csv"), "\n".join(csv_lines) + "\n")
 
-    # Transform every series into plain numeric plot coordinates.
-    if kind == "loglog_scatter":
-        points = [[(math.log10(x), math.log10(y)) for x, y in zip(s.xs, s.ys)] for s in series]
-        categories = None
-    else:
-        categories = sorted({float(x) for s in series for x in s.xs})
-        ordinal = {x: i for i, x in enumerate(categories)}
-        points = [[(float(ordinal[float(x)]), float(y)) for x, y in zip(s.xs, s.ys)] for s in series]
+    points = [[(math.log10(x), math.log10(y)) for x, y in zip(s.xs, s.ys)] for s in series]
 
     all_x = [p[0] for pts in points for p in pts]
     all_y = [p[1] for pts in points for p in pts]
     x_lo, x_hi = min(all_x), max(all_x)
     y_lo, y_hi = min(all_y), max(all_y)
-    if kind == "ratio_bars":
-        x_lo, x_hi = -0.6, len(categories) - 0.4
-        y_lo, y_hi = 0.0, max(1.0, y_hi)
     pad_x = 0.05 * (x_hi - x_lo or 1.0)
     pad_y = 0.05 * (y_hi - y_lo or 1.0)
     x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
@@ -431,12 +409,8 @@ def emit_plot(series: Sequence[PlotSeries], kind: str, path) -> Path:
         f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" fill="none" stroke="#404040"/>',
     ]
 
-    if kind == "loglog_scatter":
-        x_ticks = [(float(t), f"1e{t}") for t in range(math.floor(x_lo), math.ceil(x_hi) + 1)]
-        y_ticks = [(float(t), f"1e{t}") for t in range(math.floor(y_lo), math.ceil(y_hi) + 1)]
-    else:
-        x_ticks = [(float(i), f"{c:g}") for i, c in enumerate(categories)]
-        y_ticks = [(t, f"{t:.2f}") for t in _ticks_linear(0.0, max(1.0, y_hi - pad_y))]
+    x_ticks = [(float(t), f"1e{t}") for t in range(math.floor(x_lo), math.ceil(x_hi) + 1)]
+    y_ticks = [(float(t), f"1e{t}") for t in range(math.floor(y_lo), math.ceil(y_hi) + 1)]
 
     for t, label in x_ticks:
         if not x_lo <= t <= x_hi:
@@ -453,20 +427,9 @@ def emit_plot(series: Sequence[PlotSeries], kind: str, path) -> Path:
             f'<text x="{_ML - 6}" y="{py(t) + 4:.1f}" font-size="11" text-anchor="end">{label}</text>'
         )
 
-    n_series = len(series)
     for si, (s, pts) in enumerate(zip(series, points)):
         color = _PALETTE[si % len(_PALETTE)]
-        if s.style == "bar":
-            bar_w = 0.8 / n_series * (plot_w / (x_hi - x_lo))
-            baseline = py(0.0)
-            for cx, y in pts:
-                left = px(cx - 0.4) + si * bar_w
-                top = py(y)
-                parts.append(
-                    f'<rect x="{left:.1f}" y="{top:.1f}" width="{bar_w:.1f}" '
-                    f'height="{baseline - top:.1f}" fill="{color}" fill-opacity="0.85"/>'
-                )
-        elif s.style == "line":
+        if s.style == "line":
             joined = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in pts)
             parts.append(f'<polyline points="{joined}" fill="none" stroke="{color}" stroke-width="1.6"/>')
         else:

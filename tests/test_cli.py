@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from lyapcut import cli
+from lyapcut import cli, experiments
 from lyapcut.cli import main
 from lyapcut.dynamics import BetaParams, RunConfig
 from lyapcut.experiments import SuiteSpec
@@ -258,7 +258,6 @@ NON_DEFAULT = {
     "seed": ({"seed": 9}, 9),
     "ansatz": ({"ansatz": "lightcone"}, "light_cone"),
     "p": ({"family": "bipartite", "p": 0.3}, 0.3),
-    "oracle_cap": ({"oracle_cap": 12}, 12),
     "snapshot_steps": ({"snapshot_steps": [1, 5]}, (1, 5)),
     "exhaustive_cubic": ({"exhaustive_cubic": True}, True),
 }
@@ -298,3 +297,56 @@ def test_run_has_no_seed_flag(tmp_path, capsys):
         main(["run", "--graph", "regular3:n=4", "--seed", "1", "--out", str(tmp_path / "out")])
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"n_list": [6],}', r"^.*cfg\.json is not valid JSON: Expecting property name enclosed in double quotes "
+                          r"at line 1 column 16$"),
+    ("[1]", r"^.*cfg\.json must hold a JSON object of config keys, got list$"),
+], ids=["bad_json", "top_level_list"])
+def test_config_file_shape_names_the_file(tmp_path, text, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    with pytest.raises(SystemExit, match=message):
+        main(["suite", "--config", str(cfg_path), "--out", str(tmp_path / "suite")])
+    assert not (tmp_path / "suite").exists()
+
+
+@pytest.mark.parametrize("family, flag, value, message", [
+    ("er", "--d", "4", r"^lyapcut gen --family er: --d not read by family erdos_renyi; known: --n, --seed, --p$"),
+    ("regular3", "--p", "0.3",
+     r"^lyapcut gen --family regular3: --p not read by family regular3; known: --n, --seed, --d$"),
+], ids=["d_for_er", "p_for_regular3"])
+def test_gen_flag_the_family_ignores_names_flag_and_family(tmp_path, capsys, family, flag, value, message):
+    # As the graph spec er:n=6,d=4 is refused.
+    out_file = tmp_path / "g.txt"
+    with pytest.raises(SystemExit, match=message):
+        main(["gen", "--family", family, "--n", "6", flag, value, "--out", str(out_file)])
+    assert not out_file.exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_gen_passes_the_flags_the_family_reads(tmp_path):
+    out_file = tmp_path / "g.txt"
+    assert main(["gen", "--family", "regular3", "--n", "8", "--d", "4", "--seed", "2", "--out", str(out_file)]) == 0
+    assert Graph.from_text(out_file.read_text()).degrees == (4,) * 8
+
+
+def test_convergence_size_above_state_cap_names_size_cap_and_file(tmp_path, monkeypatch):
+    # Refused before any run: the n=6 instances must not run first.
+    monkeypatch.setattr(experiments, "solve_instance", lambda *args, **kwargs: pytest.fail("ran an instance"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_list": [6, 26], "rounds": 5}))
+    with pytest.raises(SystemExit, match=rf"^n=26 in n_list is above state cap {RunConfig.state_cap} in .*cfg\.json$"):
+        main(["convergence", "--config", str(cfg_path), "--out", str(tmp_path / "conv")])
+    assert not (tmp_path / "conv").exists()
+
+
+def test_run_above_twenty_qubits_reports_the_true_ratio(tmp_path, capsys):
+    assert main(["run", "--graph", "er:n=21,seed=1", "--rounds", "1", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "run_n21.json").read_text())
+    assert summary["oracle"]["optimum"] > 0 and len(summary["oracle"]["one_maximizer"]) == 21
+    row = (tmp_path / "run_n21.csv").read_text().splitlines()[1].split(",")
+    ratio = float(row[-2])  # true_ratio, the column before violation
+    assert ratio == pytest.approx(summary["final"]["true_ratio"]) and 0 < ratio <= 1
+    assert f"true_ratio={ratio:.6f}" in capsys.readouterr().out

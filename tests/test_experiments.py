@@ -1,13 +1,14 @@
+import dataclasses
 import json
 import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from lyapcut import experiments
 from lyapcut.dynamics import RunConfig
 from lyapcut.experiments import (
     ConvergenceRecord,
-    MissingOracleError,
     PlotSeries,
     SuiteSpec,
     convergence_experiment,
@@ -22,6 +23,23 @@ from lyapcut.experiments import (
 )
 from lyapcut.graphs import Graph
 from lyapcut.graphs import brute_force_max_cut
+
+
+@pytest.fixture
+def runner_calls(monkeypatch):
+    """The sizes of the graphs the transverse-field runner is called on; set fail_on to k to
+    make call number k (from 0) raise."""
+    real = experiments.run_qaoa_feedback
+    calls = []
+
+    def counted(g, *args, **kwargs):
+        calls.append(g.n)
+        if len(calls) - 1 == counted.fail_on:
+            raise RuntimeError(f"injected failure on call {len(calls) - 1}")
+        return real(g, *args, **kwargs)
+    counted.fail_on = None
+    monkeypatch.setattr(experiments, "run_qaoa_feedback", counted)
+    return counted, calls
 
 
 def small_spec(**overrides):
@@ -91,7 +109,7 @@ class TestRunSuite:
         run_suite(spec, tmp_path)
         rows = read_trace_csv(tmp_path / "erdos_renyi_n06_i00.csv")
         (gid, g), = suite_instances(spec)
-        oracle, traces = solve_instance(g, spec.config, spec.oracle_cap)
+        oracle, traces = solve_instance(g, spec.config)
         assert oracle == brute_force_max_cut(g)
         assert len(rows) == len(traces) == 25
         for row, tr in zip(rows, traces):
@@ -111,11 +129,6 @@ class TestRunSuite:
             oracle = brute_force_max_cut(g)
             summary = json.loads((tmp_path / f"{graph_id}.json").read_text())
             assert summary["oracle"] == {"optimum": oracle.optimum, "one_maximizer": oracle.bitstrings(g.n)[0]}
-
-    def test_oracle_cap_leaves_the_oracle_out(self):
-        g = next(g for _, g in suite_instances(small_spec(n_list=(6,))))
-        oracle, traces = solve_instance(g, RunConfig(rounds=3), oracle_cap=5)
-        assert oracle is None and all(tr.true_ratio is None for tr in traces)
 
     def test_byte_identical_reruns(self, tmp_path):
         spec = small_spec(family="bipartite", n_list=(6,), config=RunConfig(rounds=30))
@@ -143,13 +156,31 @@ class TestRunSuite:
         assert summary["oracle"]["optimum"] == summary["m"]
         assert summary["final"]["true_ratio"] == pytest.approx(summary["final"]["hf_over_m"], abs=1e-12)
 
-    def test_oracle_cap_omits_true_ratio(self, tmp_path):
-        spec = small_spec(family="erdos_renyi", n_list=(8,), config=RunConfig(rounds=10), oracle_cap=6)
-        run_suite(spec, tmp_path)
-        rows = read_trace_csv(tmp_path / "erdos_renyi_n08_i00.csv")
-        assert all(row["true_ratio"] is None for row in rows)
-        summary = json.loads((tmp_path / "erdos_renyi_n08_i00.json").read_text())
-        assert summary["oracle"] is None
+    def test_failure_keeps_every_earlier_instance(self, tmp_path, runner_calls):
+        spec = small_spec(family="erdos_renyi", n_list=(6, 8), instances_per_n=2, config=RunConfig(rounds=10))
+        run_suite(spec, tmp_path / "whole")
+        counted, calls = runner_calls
+        calls.clear()
+        counted.fail_on = 2
+        with pytest.raises(RuntimeError, match="injected failure on call 2"):
+            run_suite(spec, tmp_path / "cut")
+        # Each instance is written as it finishes: the two before the failure are on disk, byte for byte.
+        written = sorted(p.name for p in (tmp_path / "cut").iterdir())
+        assert written == ["erdos_renyi_n06_i00.csv", "erdos_renyi_n06_i00.json",
+                           "erdos_renyi_n06_i01.csv", "erdos_renyi_n06_i01.json"]
+        for name in written:
+            assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+    def test_skipped_instance_keeps_the_sub_seeds_of_the_grid(self, tmp_path):
+        spec = small_spec(family="erdos_renyi", n_list=(6, 10, 8), instances_per_n=2,
+                          config=RunConfig(rounds=5, state_cap=8))
+        manifest = run_suite(spec, tmp_path)
+        assert [s["graph_id"] for s in manifest["skipped"]] == ["erdos_renyi_n10_i00", "erdos_renyi_n10_i01"]
+        grid = dict(suite_instances(spec))
+        assert manifest["instances"] == [gid for gid in grid if gid not in ("erdos_renyi_n10_i00",
+                                                                            "erdos_renyi_n10_i01")]
+        for gid in manifest["instances"]:
+            assert json.loads((tmp_path / f"{gid}.json").read_text())["graph_hash"] == grid[gid].content_hash()
 
     def test_state_cap_skips_with_reason(self, tmp_path):
         cfg = RunConfig(rounds=5, state_cap=6)
@@ -183,10 +214,18 @@ class TestConvergence:
         with pytest.raises(ValueError):
             convergence_experiment(small_spec(), targets=(1.2,))
 
-    def test_requires_oracle(self):
-        spec = small_spec(n_list=(8,), family="erdos_renyi", oracle_cap=6, config=RunConfig(rounds=5))
-        with pytest.raises(MissingOracleError):
+    def test_worker_pool_matches_sequential(self):
+        spec = small_spec(family="erdos_renyi", n_list=(6, 8), instances_per_n=2, config=RunConfig(rounds=300))
+        sequential = convergence_experiment(spec, targets=[0.6, 0.8])
+        assert convergence_experiment(dataclasses.replace(spec, workers=2), targets=[0.6, 0.8]) == sequential
+        assert len(sequential) == 8
+
+    def test_size_above_state_cap_refused_before_any_run(self, runner_calls):
+        _, calls = runner_calls
+        spec = small_spec(family="erdos_renyi", n_list=(6, 8), config=RunConfig(rounds=5, state_cap=6))
+        with pytest.raises(ValueError, match=r"^n=8 in n_list is above state cap 6$"):
             convergence_experiment(spec, targets=[0.5])
+        assert calls == []
 
     def test_monotone_targets(self):
         spec = small_spec(family="regular3", n_list=(8,), instances_per_n=2,
@@ -249,14 +288,14 @@ class TestPercentileAndFit:
 class TestEmitPlot:
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_plot([], "loglog_scatter", tmp_path / "x.svg")
+            emit_plot([], tmp_path / "x.svg")
         with pytest.raises(ValueError):
-            emit_plot([PlotSeries("a", (), (), "scatter")], "loglog_scatter", tmp_path / "x.svg")
+            emit_plot([PlotSeries("a", (), (), "scatter")], tmp_path / "x.svg")
 
     def test_two_point_series_is_wellformed(self, tmp_path):
         path = emit_plot(
             [PlotSeries("pair", (4.0, 8.0), (16.0, 64.0), "scatter")],
-            "loglog_scatter", tmp_path / "two.svg",
+            tmp_path / "two.svg",
         )
         assert path.exists() and path.stat().st_size > 0
         root = ET.parse(path).getroot()
@@ -272,26 +311,15 @@ class TestEmitPlot:
             PlotSeries("n^2", ns, tuple(n**2 for n in ns), "line"),
             PlotSeries("n^3", ns, tuple(n**3 for n in ns), "line"),
         ]
-        path = emit_plot(series, "loglog_scatter", tmp_path / "fit.svg")
+        path = emit_plot(series, tmp_path / "fit.svg")
         text = path.read_text()
         for label in ("instances", "fit all", "fit worst", "n^2", "n^3"):
             assert label in text
         assert text.count("<polyline") == 4
         ET.parse(path)
 
-    def test_ratio_bars(self, tmp_path):
-        steps = (10.0, 100.0, 1000.0)
-        series = [
-            PlotSeries("true ratio", steps, (0.55, 0.8, 0.95), "bar"),
-            PlotSeries("one-param bound", steps, (0.1, 0.3, 0.5), "bar"),
-        ]
-        path = emit_plot(series, "ratio_bars", tmp_path / "bars.svg")
-        text = path.read_text()
-        assert text.count("<rect") >= 2 + 6  # frame + legend + bars
-        ET.parse(path)
-
     def test_deterministic_bytes(self, tmp_path):
         series = [PlotSeries("s", (1.0, 10.0), (2.0, 20.0), "line")]
-        p1 = emit_plot(series, "loglog_scatter", tmp_path / "a.svg")
-        p2 = emit_plot(series, "loglog_scatter", tmp_path / "b.svg")
+        p1 = emit_plot(series, tmp_path / "a.svg")
+        p2 = emit_plot(series, tmp_path / "b.svg")
         assert p1.read_bytes() == p2.read_bytes()
