@@ -1,6 +1,7 @@
 """Feedback-driven statevector simulation for Max-Cut with certified ratio bounds."""
 
 from .certificates import (
+    Certificates,
     DenominatorCollapse,
     OneParamTracker,
     TwoParamTracker,

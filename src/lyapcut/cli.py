@@ -104,7 +104,10 @@ def _spec_number(value: str, key: str, kind: type, spec: str):
 def _resolve_graph(arg: str) -> Graph:
     """Accept a path or a compact spec like 'regular3:n=10,seed=7'."""
     if Path(arg).exists():
-        return load_graph(arg)
+        try:
+            return load_graph(arg)
+        except GraphError as err:
+            raise SystemExit(str(err)) from None
     if ":" not in arg:
         raise SystemExit(f"graph file not found and not a family spec: {arg}")
     family, _, params = arg.partition(":")
@@ -159,6 +162,8 @@ def _targets(text: str) -> tuple[float, ...]:
 
 
 def _cmd_run(args) -> int:
+    if args.graph_id is not None and Path(args.graph_id).name != args.graph_id:
+        raise SystemExit(f"lyapcut run: --graph-id {args.graph_id!r} must be a file name without a path separator")
     g = _resolve_graph(args.graph)
     # Each run flag stores under the RunConfig field it sets; an absent flag keeps the field default.
     fields = {k: v for k, v in vars(args).items() if k in _RUN_FIELDS}
@@ -167,7 +172,10 @@ def _cmd_run(args) -> int:
     except ValueError as err:
         # The fields that RunConfig checks (dt, rounds, epsilon) share their names with the flags.
         raise SystemExit(f"lyapcut run: --{err}") from None
-    oracle, traces = solve_instance(g, cfg)
+    try:
+        oracle, traces = solve_instance(g, cfg)
+    except GraphError as err:  # above the state cap, or disconnected under the light cone
+        raise SystemExit(f"lyapcut run --graph {args.graph}: {err}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     graph_id = args.graph_id or f"run_n{g.n:02d}"
@@ -243,7 +251,10 @@ def _emit_convergence_plot(records: list[ConvergenceRecord], fits: dict[str, Fit
 
 def _cmd_oracle(args) -> int:
     g = _resolve_graph(args.graph)
-    res = brute_force_max_cut(g)
+    try:
+        res = brute_force_max_cut(g)
+    except GraphError as err:  # above the oracle cap
+        raise SystemExit(f"lyapcut oracle --graph {args.graph}: {err}") from None
     print(f"optimum {res.optimum}")
     print(f"maximizer {res.bitstrings(g.n)[0]}")
     return 0

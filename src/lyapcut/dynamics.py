@@ -22,15 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .certificates import (
-    DenominatorCollapse,
-    OneParamTracker,
-    TwoParamTracker,
-    max_step_size,
-    one_param_step,
-    two_param_lower_bound,
-    two_param_step,
-)
+from .certificates import Certificates
 from .graphs import CutOracleResult, Graph, GraphError
 from .hamiltonian import MaxCutHamiltonian, NormBounds, error_constants
 from .statevector import (
@@ -124,12 +116,9 @@ def bfs_order(g: Graph, root: int = 0) -> BfsOrder:
     if not 0 <= root < g.n:
         raise GraphError(f"root {root} out of range")
     seq = [-1] * g.n
-    order = [root]
     seq[root] = 0
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
+    order = [root]
+    for v in order:  # the loop reaches the vertices it appends
         for w in g.adjacency[v]:
             if seq[w] == -1:
                 seq[w] = len(order)
@@ -188,15 +177,14 @@ def _run_loop(
     h = mixer.h
     m = h.m
     state = init_plus(h.n, cap=cfg.state_cap, mirrored=True)
-    one = OneParamTracker()
-    two = TwoParamTracker()
+    certs = Certificates(m)
     optimum = float(oracle.optimum) if oracle is not None else None
 
     o_cur = mixer.observe(state)
     hf_after = expectation_diagonal(state, h.diag)
     _check_finite(0, o_cur, hf_after)
     if observer is not None:
-        observer(0, hf_after, one, two)
+        observer(0, hf_after, certs.one, certs.two)
 
     traces: list[StepTrace] = []
     t_elapsed = 0.0
@@ -208,21 +196,8 @@ def _run_loop(
 
         dt_p = cfg.dt
         if cfg.adaptive_dt:
-            dt_p = _adaptive_dt(mixer, cfg, two, alpha, o_used, hf_before)
-
-        one_param_step(one, [alpha], [o_used], dt_p, q_exp=float(m))
-        froze = False
-        two_violated = False
-        if not two.frozen:
-            q_two = float(m) - hf_before
-            try:
-                if q_two <= 0:
-                    raise DenominatorCollapse(q_exp=q_two, gain=0.0, c=q_two)
-                two_param_step(two, [alpha], [o_used], dt_p, q_exp=q_two, a=1.0, b=1.0)
-            except DenominatorCollapse:
-                two.frozen = True
-                froze = True
-            two_violated = two.last_violated
+            dt_p = certs.step_size(mixer.norm_bounds(alpha), cfg.epsilon, cfg.dt, alpha, o_used, hf_before)
+        violation = certs.advance(alpha, o_used, dt_p, hf_before)
 
         mixer.apply(state, alpha, dt_p)
 
@@ -242,14 +217,14 @@ def _run_loop(
                 alpha=alpha,
                 hf_exp=hf_after,
                 hf_over_m=hf_after / m,
-                lambda_lb=one.lower_bound,
-                two_param_lb=two_param_lower_bound(two),
+                lambda_lb=certs.lambda_lb,
+                two_param_lb=certs.two_param_lb,
                 true_ratio=true_ratio,
-                violation=one.last_violated or two_violated or froze,
+                violation=violation,
             )
         )
         if observer is not None:
-            observer(p, hf_after, one, two)
+            observer(p, hf_after, certs.one, certs.two)
         if stop_at_true_ratio is not None and true_ratio is not None and true_ratio >= stop_at_true_ratio:
             break
     _check_norm(len(traces), state)
@@ -269,20 +244,9 @@ def _check_norm(p: int, state) -> None:
         raise StateError(f"norm drift {drift:.3e} after round {p} exceeds {NORM_TOL:g}")
 
 
-def _adaptive_dt(mixer, cfg, two, alpha, o_cur, hf_before):
-    """Admissible step under the error budget, conservative in the next x value.
-
-    A first pass bounds dt with the current x; the x value implied by that dt
-    can only shrink the second-pass dt, so the final dt is admissible for the
-    x it actually produces.
-    """
-    bounds = mixer.norm_bounds(alpha)
-    dt1 = min(cfg.dt, max_step_size(bounds, cfg.epsilon, x_next=two.x))
-    gain1 = max(alpha * o_cur * dt1, 0.0)
-    q_two = float(mixer.h.m) - hf_before
-    c1 = q_two - gain1
-    x1 = two.x * q_two / c1 if (q_two > 0 and c1 > 0 and not two.frozen) else two.x
-    return min(dt1, max_step_size(bounds, cfg.epsilon, x_next=max(x1, two.x)))
+def _check_graph(g: Graph, h: MaxCutHamiltonian) -> None:
+    if h.graph != g:
+        raise GraphError(f"the Hamiltonian belongs to another graph (n={h.n}, m={h.m}) than g (n={g.n}, m={g.m})")
 
 
 def run_qaoa_feedback(
@@ -294,6 +258,7 @@ def run_qaoa_feedback(
     stop_at_true_ratio: Optional[float] = None,
 ) -> list[StepTrace]:
     """Transverse-field feedback ansatz: diagonal phase layer then n RX rotations."""
+    _check_graph(g, h)
     return _run_loop(Mixer(h, sum_x(g.n)), cfg, oracle, observer, stop_at_true_ratio)
 
 
@@ -307,6 +272,7 @@ def run_light_cone(
 ) -> list[StepTrace]:
     """BFS-oriented YZ-rotation ansatz with no commuting layer; the whole oriented
     YZ sum is one feedback term, and cfg.lightcone_feedback turns the feedback off."""
+    _check_graph(g, h)
     edges = bfs_order(g, root=0).oriented_edges
     mixer = Mixer(h, sum_yz(edges), feedback=cfg.lightcone_feedback, yz_edges=edges)
     return _run_loop(mixer, cfg, oracle, observer, stop_at_true_ratio)

@@ -88,6 +88,8 @@ class Graph:
         n, m = int(rows[0][0]), int(rows[0][1])
         if len(rows) - 1 != m:
             raise GraphError(f"header promises {m} edges, found {len(rows) - 1}")
+        if bad := [" ".join(row) for row in rows[1:] if len(row) != 2]:
+            raise GraphError(f"edge line {bad[0]!r} needs two vertex numbers")
         return cls.from_edges(n, [(int(a), int(b)) for a, b in rows[1:]])
 
     def to_json_dict(self) -> dict:
@@ -136,13 +138,16 @@ class CutOracleResult:
 
 
 def load_graph(path: str) -> Graph:
-    """Read a graph from either the plain-text or the JSON on-disk format."""
+    """Read a graph from either the plain-text or the JSON on-disk format;
+    malformed content raises GraphError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return Graph.from_json_dict(json.loads(text))
-    return Graph.from_text(text)
+    try:
+        return Graph.from_json_dict(json.loads(text)) if text.lstrip().startswith("{") else Graph.from_text(text)
+    except KeyError as err:
+        raise GraphError(f"graph file {path}: no {err} key") from None
+    except (ValueError, TypeError) as err:
+        raise GraphError(f"graph file {path}: {err}") from None
 
 
 def _rng_for_attempt(seed: int, attempt: int) -> np.random.Generator:
@@ -151,21 +156,13 @@ def _rng_for_attempt(seed: int, attempt: int) -> np.random.Generator:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    seen = [False] * g.n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    adj = g.adjacency
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == g.n
+    order, seen = [0], {0}
+    for v in order:  # breadth first: the loop reaches the vertices it appends
+        for w in g.adjacency[v]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    return len(order) == g.n
 
 
 def gen_random_regular(n: int, d: int, seed: int) -> Graph:
@@ -180,23 +177,17 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
         raise GraphError(f"need 0 < d < n, got n={n}, d={d}")
     stubs_template = np.repeat(np.arange(n), d)
     for attempt in range(MAX_GENERATION_ATTEMPTS):
-        rng = _rng_for_attempt(seed, attempt)
-        stubs = stubs_template.copy()
-        rng.shuffle(stubs)
-        pairs = stubs.reshape(-1, 2)
+        pairs = _rng_for_attempt(seed, attempt).permutation(stubs_template).reshape(-1, 2)
         edge_set = set()
-        ok = True
         for a, b in pairs:
             u, v = (int(a), int(b)) if a < b else (int(b), int(a))
             if u == v or (u, v) in edge_set:
-                ok = False
                 break
             edge_set.add((u, v))
-        if not ok:
-            continue
-        g = Graph(n=n, edges=tuple(sorted(edge_set)))
-        if is_connected(g):
-            return g
+        else:
+            g = Graph(n=n, edges=tuple(sorted(edge_set)))
+            if is_connected(g):
+                return g
     raise GenerationError(f"no connected simple {d}-regular sample for n={n}, seed={seed}")
 
 
@@ -204,14 +195,7 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """Connected G(n, p) sample; resamples until connected."""
     if not 0 < p <= 1:
         raise GraphError(f"need 0 < p <= 1, got p={p}")
-    pairs = list(combinations(range(n), 2))
-    for attempt in range(MAX_GENERATION_ATTEMPTS):
-        rng = _rng_for_attempt(seed, attempt)
-        mask = rng.random(len(pairs)) < p
-        g = Graph(n=n, edges=tuple(e for e, keep in zip(pairs, mask) if keep))
-        if is_connected(g):
-            return g
-    raise GenerationError(f"no connected G({n}, {p}) sample for seed={seed}")
+    return _connected_sample(n, list(combinations(range(n), 2)), p, seed, f"G({n}, {p})")
 
 
 def gen_bipartite(n1: int, n2: int, p: float, seed: int) -> Graph:
@@ -221,13 +205,17 @@ def gen_bipartite(n1: int, n2: int, p: float, seed: int) -> Graph:
     if not 0 < p <= 1:
         raise GraphError(f"need 0 < p <= 1, got p={p}")
     pairs = [(u, n1 + v) for u in range(n1) for v in range(n2)]
+    return _connected_sample(n1 + n2, pairs, p, seed, f"bipartite({n1}, {n2}, {p})")
+
+
+def _connected_sample(n: int, pairs: list, p: float, seed: int, what: str) -> Graph:
+    """Keep each pair with probability p, resampling with a fresh sub-seed until connected."""
     for attempt in range(MAX_GENERATION_ATTEMPTS):
-        rng = _rng_for_attempt(seed, attempt)
-        mask = rng.random(len(pairs)) < p
-        g = Graph(n=n1 + n2, edges=tuple(e for e, keep in zip(pairs, mask) if keep))
+        mask = _rng_for_attempt(seed, attempt).random(len(pairs)) < p
+        g = Graph(n=n, edges=tuple(e for e, keep in zip(pairs, mask) if keep))
         if is_connected(g):
             return g
-    raise GenerationError(f"no connected bipartite({n1}, {n2}, {p}) sample for seed={seed}")
+    raise GenerationError(f"no connected {what} sample for seed={seed}")
 
 
 def bipartite_parts(n: int) -> tuple[int, int]:
@@ -377,18 +365,12 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
         for w in range(n):
             if mapped_to[w] or g2.degrees[w] != g1.degrees[v]:
                 continue
-            ok = True
-            for prev in range(v):
-                if (prev in adj1[v]) != (mapping[prev] in adj2[w]):
-                    ok = False
-                    break
-            if ok:
+            if all((prev in adj1[v]) == (mapping[prev] in adj2[w]) for prev in range(v)):
                 mapping[v] = w
                 mapped_to[w] = True
                 if extend(v + 1):
                     return True
                 mapped_to[w] = False
-        mapping[v] = -1
         return False
 
     return extend(0)

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from lyapcut.certificates import (
+    Certificates,
     DenominatorCollapse,
     OneParamTracker,
     TwoParamTracker,
@@ -104,6 +105,86 @@ class TestTwoParam:
         tr = TwoParamTracker(frozen=True)
         two_param_step(tr, [0.1], [0.5], 0.08, q_exp=1.0, a=1.0, b=1.0)
         assert tr.x == 1.0 and tr.y == 0.0
+
+
+    def test_zero_budget_collapses(self):
+        with pytest.raises(DenominatorCollapse) as err:
+            two_param_step(TwoParamTracker(), [0.1], [0.5], 0.08, q_exp=0.0, a=1.0, b=1.0)
+        assert err.value.q_exp == 0.0 and err.value.c <= 0
+
+
+class TestCertificates:
+    M = 3
+
+    def test_fresh_bounds_are_zero(self):
+        certs = Certificates(self.M)
+        assert certs.lambda_lb == 0.0 and certs.two_param_lb == 0.0
+
+    def test_advance_matches_the_step_functions(self):
+        certs = Certificates(self.M)
+        assert not certs.advance(0.02 * 0.3, 0.3, 0.08, hf=1.2)
+        one = one_param_step(OneParamTracker(), [0.02 * 0.3], [0.3], 0.08, q_exp=3.0)
+        two = two_param_step(TwoParamTracker(), [0.02 * 0.3], [0.3], 0.08, q_exp=3.0 - 1.2, a=1.0, b=1.0)
+        assert (certs.one, certs.two) == (one, two)
+        assert certs.lambda_lb == one.lam and certs.two_param_lb == two_param_lower_bound(two)
+
+    def test_negative_gain_clamps_both_trackers_and_flags(self):
+        # Feedback off: the literal beta times a negative O gives a negative increment.
+        certs = Certificates(self.M)
+        assert certs.advance(0.04, -0.5, 0.1, hf=1.5)
+        assert (certs.one.violations, certs.two.violations) == (1, 1)
+        assert (certs.one.lam, certs.two.x, certs.two.y) == (0.0, 1.0, 0.0)
+
+    def test_only_the_freeze_round_is_flagged_and_the_frozen_tracker_holds(self):
+        certs = Certificates(self.M)
+        certs.advance(0.02 * 0.3, 0.3, 0.08, hf=1.2)
+        held = (certs.two.x, certs.two.y, certs.two_param_lb)
+        assert certs.advance(10.0, 10.0, 1.0, hf=1.2)  # c = 1.8 - 100 <= 0
+        assert certs.two.frozen and not certs.two.last_violated
+        assert (certs.two.x, certs.two.y, certs.two_param_lb) == held
+        lam = certs.lambda_lb
+        assert not certs.advance(0.02 * 0.3, 0.3, 0.08, hf=1.2)
+        assert certs.lambda_lb > lam
+        assert (certs.two.x, certs.two.y, certs.two_param_lb) == held
+
+    def test_one_param_clamp_flags_after_the_freeze(self):
+        certs = Certificates(self.M)
+        certs.advance(0.1, 0.5, 0.1, hf=float(self.M))
+        assert certs.advance(0.04, -0.5, 0.1, hf=1.5)
+        assert (certs.one.violations, certs.two.violations) == (1, 0)
+
+    def test_advance_at_zero_budget_freezes(self):
+        certs = Certificates(self.M)
+        assert certs.advance(0.1, 0.5, 0.1, hf=float(self.M))
+        assert certs.two.frozen
+        assert (certs.two.x, certs.two.y) == (1.0, 0.0)
+        assert certs.one.lam > 0
+
+    BOUNDS = NormBounds(0, 0, 0, A=1.0, B=1.0, C=1.0)
+
+    def first_pass(self, certs, epsilon=1e-3, dt_max=0.1):
+        return min(dt_max, max_step_size(self.BOUNDS, epsilon, x_next=certs.two.x))
+
+    def test_step_size_look_ahead_shrinks_the_step(self):
+        certs = Certificates(self.M)
+        dt = certs.step_size(self.BOUNDS, 1e-3, 0.1, alpha=1.0, o=1.0, hf=1.5)
+        assert 0 < dt < self.first_pass(certs)
+
+    def test_step_size_skips_the_look_ahead_when_frozen(self):
+        certs = Certificates(self.M)
+        certs.advance(0.1, 0.5, 0.1, hf=float(self.M))
+        assert certs.step_size(self.BOUNDS, 1e-3, 0.1, alpha=1.0, o=1.0, hf=1.5) == self.first_pass(certs)
+
+    def test_step_size_keeps_x_when_the_look_ahead_collapses(self):
+        certs = Certificates(self.M)
+        assert certs.step_size(self.BOUNDS, 1e-3, 0.1, alpha=1.0, o=1.0, hf=float(self.M)) == self.first_pass(certs)
+        assert not certs.two.frozen
+        assert (certs.one.lam, certs.two.x, certs.two.y) == (0.0, 1.0, 0.0)
+
+    def test_step_size_is_capped_by_dt_max(self):
+        certs = Certificates(self.M)
+        vacuous = NormBounds(0, 0, 0, A=0.0, B=0.0, C=0.0)
+        assert certs.step_size(vacuous, 1e-3, 0.05, alpha=1.0, o=1.0, hf=1.5) == 0.05
 
 
 class TestMaxStepSize:

@@ -350,3 +350,41 @@ def test_run_above_twenty_qubits_reports_the_true_ratio(tmp_path, capsys):
     ratio = float(row[-2])  # true_ratio, the column before violation
     assert ratio == pytest.approx(summary["final"]["true_ratio"]) and 0 < ratio <= 1
     assert f"true_ratio={ratio:.6f}" in capsys.readouterr().out
+
+
+# A 25-vertex path is above the 24-qubit cap of both the oracle and the Hamiltonian.
+PATH_25 = Graph.from_edges(25, [(i, i + 1) for i in range(24)]).to_text()
+TWO_EDGES_APART = Graph.from_edges(4, [(0, 1), (2, 3)]).to_text()
+
+
+@pytest.mark.parametrize("name, text, command, message", [
+    ("g.txt", "3 3\n0 1\n1 2\n", "oracle", r"graph file {path}: header promises 3 edges, found 2$"),
+    ("g.txt", "3 2\n0 x\n1 2\n", "run", r"graph file {path}: invalid literal for int\(\) with base 10: 'x'$"),
+    ("g.txt", "3 2\n0 1 2\n1 2\n", "oracle", r"graph file {path}: edge line '0 1 2' needs two vertex numbers$"),
+    ("g.json", '{"n": 3}', "run", r"graph file {path}: no 'edges' key$"),
+    ("g.json", '{"n": 3, "edges": [[0, 1]', "oracle", r"graph file {path}: Expecting ',' delimiter"),
+    ("g.txt", "3 2\n0 1\n1 5\n", "run", r"graph file {path}: bad edge \(1, 5\) for n=3"),
+    ("path25.txt", PATH_25, "oracle", r"^lyapcut oracle --graph {path}: oracle capped at n=24, got n=25$"),
+    ("path25.txt", PATH_25, "run", r"^lyapcut run --graph {path}: hamiltonian capped at n=24, got n=25$"),
+    ("apart.txt", TWO_EDGES_APART, "lightcone", r"^lyapcut run --graph {path}: graph is disconnected"),
+], ids=["edge_count", "token", "three_numbers", "json_no_edges", "bad_json", "edge_range", "oracle_cap",
+        "run_cap", "lightcone_disconnected"])
+def test_graph_the_command_cannot_take_names_the_graph(tmp_path, capsys, name, text, command, message):
+    path = tmp_path / name
+    path.write_text(text)
+    argv = {"oracle": ["oracle", "--graph", str(path)],
+            "run": ["run", "--graph", str(path), "--rounds", "2", "--out", str(tmp_path / "out")],
+            "lightcone": ["run", "--graph", str(path), "--ansatz", "lightcone", "--rounds", "2",
+                          "--out", str(tmp_path / "out")]}[command]
+    with pytest.raises(SystemExit, match=message.format(path=re.escape(str(path)))):
+        main(argv)
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_graph_id_with_a_path_separator_is_refused_before_the_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "solve_instance", lambda *args, **kwargs: pytest.fail("ran the instance"))
+    with pytest.raises(SystemExit, match=r"^lyapcut run: --graph-id 'a/b' must be a file name without a path sep"):
+        main(["run", "--graph", "regular3:n=4,seed=0", "--rounds", "2", "--graph-id", "a/b",
+              "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()

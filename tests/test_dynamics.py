@@ -381,3 +381,23 @@ class TestNormDrift:
         monkeypatch.setattr(dynamics, "apply_rx", leaky)
         with pytest.raises(StateError, match=f"norm drift .* after round {failing_round} "):
             run_qaoa_feedback(g, h, RunConfig(rounds=rounds), oracle)
+
+
+class TestHamiltonianOfAnotherGraph:
+    """A runner given the Hamiltonian of another graph refuses it instead of
+    mixing one graph's mixer with the other's cut table."""
+
+    G1 = gen_random_regular(8, 3, seed=1)
+    G2 = gen_random_regular(8, 3, seed=2)
+
+    @pytest.mark.parametrize("runner", [run_qaoa_feedback, run_light_cone])
+    def test_refused(self, runner):
+        assert self.G1 != self.G2
+        with pytest.raises(GraphError, match="another graph"):
+            runner(self.G1, build_maxcut(self.G2), RunConfig(rounds=2))
+
+    @pytest.mark.parametrize("runner", [run_qaoa_feedback, run_light_cone])
+    def test_an_equal_graph_is_accepted(self, runner):
+        copy = Graph.from_edges(self.G1.n, self.G1.edges)
+        assert copy is not self.G1
+        assert len(runner(copy, build_maxcut(self.G1), RunConfig(rounds=2))) == 2

@@ -1,5 +1,6 @@
-"""Modules of the package import only each other's public names, and the
-statevector kernels make no BLAS call."""
+"""Modules of the package import only each other's public names, the round
+loop reaches the certificates only through Certificates, and the statevector
+kernels make no BLAS call."""
 
 import ast
 from pathlib import Path
@@ -28,6 +29,29 @@ def test_detector_flags_a_private_import():
     assert private_imports("from .experiments import run_suite, _atomic_write\n") == [
         "from .experiments import _atomic_write"
     ]
+
+
+# The tracker arithmetic that Certificates owns; dynamics must not reach past it.
+CERTIFICATE_INTERNALS = ("one_param_step", "two_param_step", "max_step_size", "DenominatorCollapse",
+                         "OneParamTracker", "TwoParamTracker")
+
+
+def imported_names(source: str) -> set[str]:
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {a.name.rpartition(".")[2] for a in node.names}
+    return found
+
+
+def test_dynamics_imports_no_certificate_internals():
+    names = imported_names((PACKAGE_DIR / "dynamics.py").read_text(encoding="utf-8"))
+    assert sorted(names & set(CERTIFICATE_INTERNALS)) == []
+
+
+def test_detector_lists_imported_names():
+    source = "import math\nfrom .certificates import Certificates, two_param_step as step\n"
+    assert imported_names(source) == {"math", "Certificates", "two_param_step"}
 
 
 def blas_calls(source: str) -> list[str]:
