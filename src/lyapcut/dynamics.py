@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 from .certificates import Certificates
 from .graphs import CutOracleResult, Graph, GraphError
 from .hamiltonian import MaxCutHamiltonian, NormBounds, error_constants
 from .statevector import (
+    FeedbackTables,
     ObservableTerms,
     StateError,
     apply_diagonal_phase,
@@ -33,6 +35,7 @@ from .statevector import (
     apply_ryz,
     expectation_diagonal,
     feedback_observable,
+    feedback_tables,
     init_plus,
     sum_x,
     sum_yz,
@@ -143,6 +146,10 @@ class Mixer:
     increments nonnegative; without it the literal beta is used and negative
     increments are clamped by the trackers. Kernels are called through this
     module's names, so rebinding one reaches every call.
+
+    The light cone's feedback reads one weight table per BFS head, built on the
+    first observe for the mirrored states the round loop evolves and kept for
+    the run; the transverse field needs none.
     """
 
     h: MaxCutHamiltonian
@@ -150,8 +157,14 @@ class Mixer:
     feedback: bool = True
     yz_edges: Optional[tuple[tuple[int, int], ...]] = None
 
+    @cached_property
+    def tables(self) -> Optional[FeedbackTables]:
+        if self.yz_edges is None:
+            return None
+        return feedback_tables(self.generator, self.h.diag, self.h.n, True)
+
     def observe(self, state) -> float:
-        return feedback_observable(state, self.generator, self.h.diag)
+        return feedback_observable(state, self.generator, self.h.diag, self.tables)
 
     def apply(self, state, alpha: float, dt: float) -> None:
         if self.yz_edges is None:

@@ -26,7 +26,9 @@ from .graphs import (
     FAMILIES,
     CutOracleResult,
     Graph,
+    GraphError,
     bipartite_parts,
+    check_family,
     enumerate_cubic,
     make_graph,
 )
@@ -68,6 +70,12 @@ class SuiteSpec:
                              f"got {self.n_list}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        # A size or p the family's generator refuses stops here, before any instance runs.
+        for n in () if self.exhaustive_cubic else self.n_list:
+            try:
+                check_family(self.family, n, p=self.p, degree=self.degree)
+            except GraphError as err:
+                raise ValueError(f"{self.family} graphs of n={n} (n_list): {err}") from None
 
 
 @dataclass(frozen=True)

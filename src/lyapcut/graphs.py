@@ -171,10 +171,7 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     Non-simple and disconnected pairings are rejected and resampled with a
     fresh sub-seed, up to MAX_GENERATION_ATTEMPTS.
     """
-    if n * d % 2 != 0:
-        raise GraphError(f"n*d must be even, got n={n}, d={d}")
-    if not 0 < d < n:
-        raise GraphError(f"need 0 < d < n, got n={n}, d={d}")
+    _check_regular(n, d)
     stubs_template = np.repeat(np.arange(n), d)
     for attempt in range(MAX_GENERATION_ATTEMPTS):
         pairs = _rng_for_attempt(seed, attempt).permutation(stubs_template).reshape(-1, 2)
@@ -193,17 +190,13 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
 
 def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """Connected G(n, p) sample; resamples until connected."""
-    if not 0 < p <= 1:
-        raise GraphError(f"need 0 < p <= 1, got p={p}")
+    _check_probability(p)
     return _connected_sample(n, list(combinations(range(n), 2)), p, seed, f"G({n}, {p})")
 
 
 def gen_bipartite(n1: int, n2: int, p: float, seed: int) -> Graph:
     """Connected binomial bipartite sample with parts {0..n1-1} and {n1..n1+n2-1}."""
-    if n1 < 1 or n2 < 1:
-        raise GraphError(f"both parts need at least one vertex, got {n1}, {n2}")
-    if not 0 < p <= 1:
-        raise GraphError(f"need 0 < p <= 1, got p={p}")
+    _check_bipartite(n1, n2, p)
     pairs = [(u, n1 + v) for u in range(n1) for v in range(n2)]
     return _connected_sample(n1 + n2, pairs, p, seed, f"bipartite({n1}, {n2}, {p})")
 
@@ -222,15 +215,48 @@ def bipartite_parts(n: int) -> tuple[int, int]:
     return (n + 1) // 2, n // 2
 
 
+def _check_regular(n: int, d: int) -> None:
+    if n * d % 2 != 0:
+        raise GraphError(f"n*d must be even, got n={n}, d={d}")
+    if not 0 < d < n:
+        raise GraphError(f"need 0 < d < n, got n={n}, d={d}")
+
+
+def _check_probability(p: float) -> None:
+    if not 0 < p <= 1:
+        raise GraphError(f"need 0 < p <= 1, got p={p}")
+
+
+def _check_bipartite(n1: int, n2: int, p: float) -> None:
+    if n1 < 1 or n2 < 1:
+        raise GraphError(f"both parts need at least one vertex, got {n1}, {n2}")
+    _check_probability(p)
+
+
+def _family_generator(family: str, n: int, p: float, degree: int):
+    """The generator of a test family and its arguments but the seed, after the generator's own check."""
+    if family == "regular3":
+        _check_regular(n, degree)
+        return gen_random_regular, (n, degree)
+    if family == "erdos_renyi":
+        _check_probability(p)
+        return gen_erdos_renyi, (n, p)
+    if family == "bipartite":
+        parts = bipartite_parts(n)
+        _check_bipartite(*parts, p)
+        return gen_bipartite, (*parts, p)
+    raise GraphError(f"family must be one of {FAMILIES}, got {family!r}")
+
+
+def check_family(family: str, n: int, p: float = 0.5, degree: int = 3) -> None:
+    """Raise the GraphError that make_graph would raise for these arguments before it samples."""
+    _family_generator(family, n, p, degree)
+
+
 def make_graph(family: str, n: int, seed: int, p: float = 0.5, degree: int = 3) -> Graph:
     """One sample of a test family; bipartite parts are {0..ceil(n/2)-1} and the rest."""
-    if family == "regular3":
-        return gen_random_regular(n, degree, seed)
-    if family == "erdos_renyi":
-        return gen_erdos_renyi(n, p, seed)
-    if family == "bipartite":
-        return gen_bipartite(*bipartite_parts(n), p, seed)
-    raise GraphError(f"family must be one of {FAMILIES}, got {family!r}")
+    generator, args = _family_generator(family, n, p, degree)
+    return generator(*args, seed)
 
 
 def cut_table(g: Graph) -> np.ndarray:

@@ -15,15 +15,22 @@ h. On a mirrored state:
 - a Z on qubit n-1 is +1 on h;
 - a flip of qubit n-1 maps x to 2^(n-1)-1-x inside h, because
   psi(x + 2^(n-1)) = h[2^(n-1)-1-x]. RX, RYZ and pure X_j feedback terms read
-  every partner from h[::-1]; feedback terms with a Z string pair the lower
-  quarter of h with the upper quarter reversed, each pair once; feedback on
-  qubit n-1 is doubled like the other qubits';
+  every partner from h[::-1]; feedback terms with a Z string, and their weight
+  tables, pair the lower quarter of h with the upper quarter reversed, each
+  pair once; feedback on qubit n-1 is doubled like the other qubits';
 - a diagonal table is still passed as the full 2^n table and must be
   complement-symmetric, diag == diag[::-1]; the kernels read diag[:2^(n-1)].
   Every cut table is, because a cut does not change when all sides swap;
 - a mixer term that anticommutes with X^n (an odd number of Y and Z
   letters) and apply_rzz raise StateError; expectation_pauli works on the
   rebuilt full state.
+
+Feedback. feedback_observable takes the pure X_j terms of a mixer from one
+e = -i D psi per call, and every other term from a weight table per flipped
+qubit and letter, P = Delta_j * sum c s_S over the pairs of amplitudes that
+differ in bit j. feedback_tables builds the tables once for a run; a table
+then costs one product conj(a0) a1 and one contraction per call, and no
+BLAS call.
 """
 
 from __future__ import annotations
@@ -184,12 +191,12 @@ def _pairs(values: np.ndarray, j: int, top: int):
     return _halves(values, j)
 
 
-def _diag_for(state: StateVector, diag) -> np.ndarray:
-    """The part of a full 2^n table that lines up with the stored amplitudes."""
+def _diag_for(diag, n: int, mirrored: bool) -> np.ndarray:
+    """The part of a full 2^n table that lines up with the amplitudes stored for n qubits."""
     diag = np.asarray(diag)
-    if diag.shape != (1 << state.n_qubits,):
-        raise StateError(f"diag length {diag.size} != 2^{state.n_qubits}")
-    return diag[: state.amplitudes.size]
+    if diag.shape != (1 << n,):
+        raise StateError(f"diag length {diag.size} != 2^{n}")
+    return diag[: 1 << (n - mirrored)]
 
 
 def _partner(amps: np.ndarray, q: int, top: int) -> np.ndarray:
@@ -266,7 +273,7 @@ def apply_diagonal_phase(state: StateVector, diag: np.ndarray, gamma: float) -> 
     Integer-valued tables go through a phase lookup so the per-step cost is one
     gather instead of a full complex exponential sweep.
     """
-    diag = _diag_for(state, diag)
+    diag = _diag_for(diag, state.n_qubits, state.mirrored)
     if np.issubdtype(diag.dtype, np.integer):
         table = np.exp(-1j * gamma * np.arange(int(diag.max()) + 1))
         state.amplitudes *= table[diag]
@@ -276,7 +283,7 @@ def apply_diagonal_phase(state: StateVector, diag: np.ndarray, gamma: float) -> 
 
 
 def expectation_diagonal(state: StateVector, diag: np.ndarray) -> float:
-    diag = _diag_for(state, diag)
+    diag = _diag_for(diag, state.n_qubits, state.mirrored)
     a = state.amplitudes
     probs = a.real * a.real + a.imag * a.imag
     value = float(probs @ diag)
@@ -316,14 +323,6 @@ def expectation_pauli(state: StateVector, obs: ObservableTerms) -> float:
     return float(np.einsum("i,i->", amps.conj(), applied).real)
 
 
-def _signed_sum(values: np.ndarray, bits) -> float:
-    """Sum of values[x] * prod over k in bits of (-1)^(bit k of x), one halving per bit."""
-    for k in sorted(bits, reverse=True):
-        view = values.reshape(-1, 2, 1 << k)
-        values = view[:, 0, :] - view[:, 1, :]
-    return float(values.sum())
-
-
 def _partner_overlap(amps: np.ndarray, e: np.ndarray, j: int, top: int) -> float:
     """Re sum_y conj((X_j amps)[y]) e[y], one einsum over float views. Qubit top
     reads amps reversed; runs of 2-4 floats (qubits 0, 1 and top) are walked
@@ -335,7 +334,128 @@ def _partner_overlap(amps: np.ndarray, e: np.ndarray, j: int, top: int) -> float
     return float(np.einsum("ijk,ijk->", p, w, order="C"))
 
 
-def feedback_observable(state: StateVector, mixer: ObservableTerms, diag: np.ndarray) -> float:
+def _walk(view: np.ndarray, j: int) -> np.ndarray:
+    """A (high, low) pair view of qubit j in the order the feedback walks it: transposed
+    below qubit 3, whose runs of 1-4 entries numpy walks slowly, so that the long axis
+    is innermost. A flat view (qubit n-1 of a mirrored state) is its own transpose."""
+    return view.T if j < 3 else view
+
+
+def _weighted_overlap(amps: np.ndarray, j: int, top: int, letter: str, table: np.ndarray) -> float:
+    """Sum over the pairs (a0, a1) that differ in bit j of table times Re (letter Y) or Im (letter X) of conj(a0) a1."""
+    a0, a1 = _pairs(amps, j, top)
+    w = np.conjugate(_walk(a0, j), order="C")
+    w *= _walk(a1, j)
+    return float(((w.real if letter == "Y" else w.imag) * table).sum())
+
+
+def _add_z_string(values: np.ndarray, c, z_bits: tuple[int, ...]) -> None:
+    """values[y] += c * prod over k in z_bits (ascending) of (-1)^(bit k of y), in place.
+
+    values is viewed with one axis of length 2 per bit in z_bits, and a 2 x .. x 2
+    sign table broadcasts over the rest, so nothing of the values' size is allocated.
+    """
+    shape, signs, low = (), np.array(c), 0
+    for k in z_bits:
+        shape = (2, 1 << (k - low)) + shape
+        signs = np.multiply.outer(_Z_SIGNS.astype(signs.dtype), signs)
+        low = k + 1
+    view = values.reshape((-1,) + shape)
+    view += signs
+
+
+def _weight_table(half: np.ndarray, j: int, top: int, terms) -> np.ndarray:
+    """P = Delta_j * sum over terms of c * s_S, read-only, over the pair index of a flip of qubit j.
+
+    half is the diagonal over the stored amplitudes, Delta_j = D|bit j=1 - D|bit j=0
+    and s_S the sign of the term's Z string. The table is laid out in the order
+    _weighted_overlap walks the pairs. It is exact and as narrow as its range
+    allows (int8 where |P| <= 127) when D and every coefficient are integers, and
+    float64 otherwise.
+    """
+    d0, d1 = _pairs(half, j, top)
+    exact = np.issubdtype(half.dtype, np.integer) and all(float(c).is_integer() for c, _ in terms)
+    kind = np.int64 if exact else np.float64
+    table = np.subtract(d1, d0, dtype=kind)
+    weights = np.zeros(table.size, dtype=kind)
+    for c, z_bits in terms:
+        _add_z_string(weights, int(c) if exact else c, z_bits)
+    table *= weights.reshape(table.shape)
+    if exact:
+        bound = max(int(table.max()), -int(table.min()))
+        kind = next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+    table = np.ascontiguousarray(_walk(table, j), dtype=kind)
+    table.flags.writeable = False
+    return table
+
+
+@dataclass(frozen=True, eq=False)
+class FeedbackTables:
+    """What feedback_observable reads of one mixer and one diagonal on states of one layout.
+
+    pure holds (j, c) for the X_j terms without a Z string, summed per qubit;
+    weighted holds (j, letter, table) per flipped qubit and letter of every
+    other term (see feedback_tables). mixer and diag are the objects the tables
+    were built from.
+    """
+
+    mixer: ObservableTerms
+    diag: np.ndarray
+    n_qubits: int
+    mirrored: bool
+    pure: tuple[tuple[int, float], ...]
+    weighted: tuple[tuple[int, str, np.ndarray], ...]
+
+
+def _split(mixer: ObservableTerms, diag, n: int, mirrored: bool):
+    """Check mixer and diag against the layout; return the diagonal over the stored
+    amplitudes, the pure X_j sums, and a generator of the weight tables, built one
+    at a time.
+
+    Bit n-2 of a mirrored pair index is qubit n-1 for j < n-1, and qubit n-2 on
+    the lower quarter for j = n-1: a Z there is +1 either way, so it is dropped.
+    """
+    half = _diag_for(diag, n, mirrored)
+    highest = mixer.max_qubit()
+    if highest >= n:
+        raise StateError(f"mixer touches qubit {highest} but n={n}")
+    if mirrored and not mixer.flip_symmetric:
+        raise StateError("mixer has a term that anticommutes with the global flip; needs a full state")
+    top, z_plus = (n - 1, n - 2) if mirrored else (-1, None)
+    pure, groups = [], []
+    for (j, letter), group in mixer._single_flips.items():
+        paired, c_pure = [], 0.0
+        for c, z_bits in group:
+            if z_bits and z_bits[-1] == z_plus:
+                z_bits = z_bits[:-1]
+            if z_bits or letter == "Y":
+                paired.append((c, z_bits))
+            else:
+                c_pure += c
+        if c_pure:
+            pure.append((j, c_pure))
+        if paired:
+            groups.append((j, letter, paired))
+    return half, tuple(pure), ((j, letter, _weight_table(half, j, top, terms)) for j, letter, terms in groups)
+
+
+def feedback_tables(mixer: ObservableTerms, diag: np.ndarray, n_qubits: int, mirrored: bool) -> FeedbackTables:
+    """The tables feedback_observable needs for mixer and diagonal diag on n-qubit states, mirrored or full.
+
+    For each flipped qubit j and letter of the terms with a Z string (and every
+    Y term), one table over the pair index y of the amplitude pairs that differ
+    in bit j: P(y) = Delta_j(y) * sum_t c_t s_t(y), with Delta_j = D|bit j=1 -
+    D|bit j=0 and s_t the sign of term t's Z string. A table is int8 where
+    |P| <= 127 and the next wider integer above that; it is float64 when D or a
+    coefficient is not an integer. Build them once per run and pass them to
+    every call.
+    """
+    _, pure, weighted = _split(mixer, diag, n_qubits, mirrored)
+    return FeedbackTables(mixer, diag, n_qubits, mirrored, pure, tuple(weighted))
+
+
+def feedback_observable(state: StateVector, mixer: ObservableTerms, diag: np.ndarray,
+                        tables: FeedbackTables | None = None) -> float:
     """Expectation of i[A, H_f] for Hermitian mixer A and diagonal H_f = D.
 
     O = -2 Im <psi| A (D psi)>, evaluated in closed form per kind of term:
@@ -343,55 +463,34 @@ def feedback_observable(state: StateVector, mixer: ObservableTerms, diag: np.nda
     - c X_j with no Z string: <psi| X_j D |psi> = sum_y conj(psi(y ^ 2^j)) (D psi)(y),
       so the term gives -2c sum_y Re(conj(psi(y ^ 2^j)) e(y)), e = -i D psi:
       one buffer of the stored size per call, then one contraction per qubit.
-    - c X_j Z_S with S not empty, and every c Y_j Z_S, use the pair form:
-      over the amplitude pairs (a0, a1) that differ in bit j, with
-      Delta_j = D|bit j=1 - D|bit j=0 and s_S the sign of Z_S, a Y term gives
-      +2c sum s_S Re(conj(a0) a1) Delta_j and an X term gives
-      -2c sum s_S Im(conj(a0) a1) Delta_j.
+    - every other term flips one qubit j: over the amplitude pairs (a0, a1)
+      that differ in bit j, the Y terms on j give +2 sum P Re(conj(a0) a1) and
+      the X terms -2 sum P Im(conj(a0) a1), with P the weight table of j and
+      the letter (see feedback_tables). Per table that is one product of
+      half the stored size and one contraction with the table.
     - Pure-Z terms commute with D and give 0.
 
+    tables are feedback_tables(mixer, diag, n, mirrored) of this state's
+    layout; without them the call builds them for itself, one at a time.
     A term that flips two or more qubits raises StateError, and so does, on a
     mirrored state, a term that anticommutes with the global flip.
     On a mirrored state every sum counts twice, for the mirror image, and a Z
-    on qubit n-1 is +1, so X_j Z_(n-1) counts as a pure X term.
+    on qubit n-1 is +1.
     """
-    amps, n = state.amplitudes, state.n_qubits
-    diag = _diag_for(state, diag)
-    groups = mixer._single_flips
-    highest = mixer.max_qubit()
-    if highest >= n:
-        raise StateError(f"mixer touches qubit {highest} but n={n}")
-    if state.mirrored and not mixer.flip_symmetric:
-        raise StateError("mixer has a term that anticommutes with the global flip; needs a full state")
-    top = _mirror_top(state)
-    # Bit n-2 of a mirrored pair index is qubit n-1 for j < n-1, and qubit n-2
-    # on the lower quarter for j = n-1: a Z there is +1 either way.
-    mirror_scale, z_plus = (2.0, n - 2) if state.mirrored else (1.0, None)
+    amps, n, top = state.amplitudes, state.n_qubits, _mirror_top(state)
+    if tables is None:
+        half, pure, weighted = _split(mixer, diag, n, state.mirrored)
+    elif tables.mixer is mixer and tables.diag is diag and (tables.n_qubits, tables.mirrored) == (n, state.mirrored):
+        half, pure, weighted = diag[: amps.size], tables.pure, tables.weighted
+    else:
+        raise StateError("feedback tables were built for another mixer, diagonal or state layout")
+    mirror_scale = 2.0 if state.mirrored else 1.0
     total = 0.0
-    e = None
-    # d1 - d0 can be negative, so an unsigned cut table needs a signed difference.
-    signed = np.result_type(diag.dtype, np.int8)
-    for (j, letter), group in groups.items():
-        paired, pure = [], 0.0
-        for c, z_bits in group:
-            if z_bits and z_bits[-1] == z_plus:
-                z_bits = z_bits[:-1]
-            if z_bits or letter == "Y":
-                paired.append((c, z_bits))
-            else:
-                pure += c
-        if pure:
-            if e is None:
-                e = np.multiply(amps, diag)
-                e *= -1j
-            total -= 2.0 * mirror_scale * pure * _partner_overlap(amps, e, j, top)
-        if not paired:
-            continue
-        (a0, a1), (d0, d1) = _pairs(amps, j, top), _pairs(diag, j, top)
-        w = a0.conj()
-        w *= a1
-        weighted = (w.real if letter == "Y" else w.imag) * np.subtract(d1, d0, dtype=signed)
-        scale = (2.0 if letter == "Y" else -2.0) * mirror_scale
-        for c, z_bits in paired:
-            total += scale * c * _signed_sum(weighted, z_bits)
+    if pure:
+        e = np.multiply(amps, half)
+        e *= -1j
+        for j, c in pure:
+            total -= 2.0 * mirror_scale * c * _partner_overlap(amps, e, j, top)
+    for j, letter, table in weighted:
+        total += (2.0 if letter == "Y" else -2.0) * mirror_scale * _weighted_overlap(amps, j, top, letter, table)
     return float(total + 0.0)

@@ -220,6 +220,21 @@ def test_exhaustive_cubic_config_checked_before_any_run(tmp_path, command, confi
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["suite", "convergence"])
+@pytest.mark.parametrize("config, message", [
+    ({"family": "regular3", "n_list": [7], "rounds": 3},
+     r"^regular3 graphs of n=7 \(n_list\): n\*d must be even, got n=7, d=3 in .*cfg\.json$"),
+    ({"family": "erdos_renyi", "n_list": [8], "p": 0.0},
+     r"^erdos_renyi graphs of n=8 \(n_list\): need 0 < p <= 1, got p=0\.0 in .*cfg\.json$"),
+], ids=["odd_cubic_size", "zero_p"])
+def test_config_the_generator_refuses_stops_before_any_run(tmp_path, command, config, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit, match=message):
+        main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_key_the_family_ignores_names_key_and_family(tmp_path):
     # The cubic grid never reads p, as a regular3 graph spec refuses p=.
     cfg_path = tmp_path / "cfg.json"

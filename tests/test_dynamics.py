@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from lyapcut.graphs import (
 from lyapcut.hamiltonian import build_maxcut
 from lyapcut.dynamics import (
     BetaParams,
+    Mixer,
     RunConfig,
     beta_schedule,
     bfs_order,
@@ -22,7 +24,8 @@ from lyapcut.dynamics import (
     run_qaoa_feedback,
 )
 from lyapcut import dynamics
-from lyapcut.statevector import StateError, feedback_observable, init_plus, sum_yz
+from lyapcut.hamiltonian import commutator_terms
+from lyapcut.statevector import StateError, StateVector, expectation_pauli, feedback_observable, init_plus, sum_yz
 
 import dense_reference as dense
 
@@ -401,3 +404,90 @@ class TestHamiltonianOfAnotherGraph:
         copy = Graph.from_edges(self.G1.n, self.G1.edges)
         assert copy is not self.G1
         assert len(runner(copy, build_maxcut(self.G1), RunConfig(rounds=2))) == 2
+
+
+def random_mirrored(n, rng):
+    """A random flip-symmetric state, stored as its half with bit n-1 = 0."""
+    return StateVector(n, dense.random_state(n - 1, rng) / math.sqrt(2.0), mirrored=True)
+
+
+def light_cone_mixer(g):
+    edges = bfs_order(g).oriented_edges
+    return Mixer(build_maxcut(g), sum_yz(edges), yz_edges=edges)
+
+
+# Oriented YZ edge lists (head, tail) on n qubits that put qubit n-1 at a head,
+# only at tails, or nowhere; the last leaves qubit n-1 isolated, so it needs n >= 3.
+ORIENTATIONS = {
+    "head_on_top": lambda n: [(1, 0)] if n == 2 else [(0, n - 1), (n - 1, 1)] + [(j, j + 1) for j in range(1, n - 2)],
+    "tail_on_top": lambda n: [(j, j + 1) for j in range(n - 1)] + [(0, n - 1)] * (n > 3),
+    "interior_only": lambda n: [(j, j + 1) for j in range(n - 2)] + [(0, n - 2)] * (n > 3),
+}
+
+
+class TestMixerFeedbackTables:
+    """The light cone's feedback reads per-head weight tables that its Mixer builds once per run."""
+
+    @pytest.mark.parametrize("orientation, n", [(o, n) for o in ORIENTATIONS
+                                                for n in range(3 if o == "interior_only" else 2, 9)])
+    def test_observe_matches_the_dense_commutator(self, orientation, n):
+        edges = tuple(ORIENTATIONS[orientation](n))
+        g = Graph.from_edges(n, sorted({(min(e), max(e)) for e in edges}))
+        mixer = Mixer(build_maxcut(g), sum_yz(edges), yz_edges=edges)
+        heads = {j for j, _ in edges}
+        assert (n - 1 in heads) == (orientation == "head_on_top")
+        assert any(n - 1 in e for e in edges) == (orientation != "interior_only")
+        a_mat = dense.dense_observable(n, [(1.0, {j: "Y", k: "Z"}) for j, k in edges])
+        h_mat = dense.dense_maxcut(n, g.edges)
+        rng = np.random.default_rng(300 + n)
+        for _ in range(3):
+            state = random_mirrored(n, rng)
+            expect = dense.commutator_expectation(state.full(), a_mat, h_mat)
+            assert abs(mixer.observe(state) - expect) < 1e-10
+        assert sorted(j for j, _, _ in mixer.tables.weighted) == sorted(heads)
+
+    def test_complete_graph_root_needs_int16(self):
+        # K16: the BFS root has 15 tails, so |Delta * s| reaches 15 * 15 = 225 on its table.
+        n = 16
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        mixer = light_cone_mixer(g)
+        state = random_mirrored(n, np.random.default_rng(310))
+        expect = expectation_pauli(state, commutator_terms(mixer.generator, mixer.h))
+        assert abs(mixer.observe(state) - expect) < 1e-10 * max(1.0, abs(expect))
+        root = {j: table for j, _, table in mixer.tables.weighted}[0]
+        assert root.dtype == np.int16 and int(np.abs(root).max()) == 225
+
+    def test_tables_are_built_once_per_light_cone_run_and_never_for_the_transverse_field(self, monkeypatch, cubic10):
+        g, h, oracle = cubic10
+        builds = counting(monkeypatch, "feedback_tables")
+        run_light_cone(g, h, RunConfig(rounds=7), oracle)
+        assert len(builds) == 1
+        run_qaoa_feedback(g, h, RunConfig(rounds=7), oracle)
+        assert len(builds) == 1
+
+    def test_observe_with_built_tables_allocates_under_one_state_size(self):
+        n = 16
+        mixer = light_cone_mixer(gen_random_regular(n, 3, seed=1))
+        state = random_mirrored(n, np.random.default_rng(320))
+        mixer.observe(state)
+        tracemalloc.start()
+        try:
+            mixer.observe(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0 * state.amplitudes.nbytes + 4096
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_cubic_tables_take_at_most_one_byte_per_pair(self, n):
+        mixer = light_cone_mixer(gen_random_regular(n, 3, seed=n))
+        heads = {j for j, _ in mixer.yz_edges}
+        tables = [table for _, _, table in mixer.tables.weighted]
+        assert len(tables) == len(heads)
+        assert all(table.dtype == np.int8 and not table.flags.writeable for table in tables)
+        assert sum(table.nbytes for table in tables) <= len(heads) << (n - 2)
+
+    def test_tables_of_another_layout_are_refused(self):
+        mixer = light_cone_mixer(gen_random_regular(8, 3, seed=1))
+        with pytest.raises(StateError, match="another mixer, diagonal or state layout"):
+            mixer.observe(init_plus(8))

@@ -1,9 +1,14 @@
 """Modules of the package import only each other's public names, the round
-loop reaches the certificates only through Certificates, and the statevector
-kernels make no BLAS call."""
+loop reaches the certificates only through Certificates, the statevector
+kernels make no BLAS call, and the kernel and round-loop modules keep no
+mutable state at module level."""
 
 import ast
 from pathlib import Path
+
+import numpy as np
+
+from lyapcut import dynamics, statevector
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "lyapcut"
 # numpy entry points that reach BLAS; np.einsum does too when passed optimize=.
@@ -75,3 +80,23 @@ def test_detector_flags_blas_calls():
     source = ("v = np.vdot(a, b)\nw = numpy.matmul(a, b)\nz = h.real.dot(d)\n"
               "x = np.einsum('i,i->', a, b, optimize=True)\ny = np.einsum('i,i->', a, b)\n")
     assert blas_calls(source) == ["np.vdot", "numpy.matmul", "h.real.dot", "np.einsum(optimize=...)"]
+
+
+def mutable_globals(namespace: dict) -> list[str]:
+    """Names bound to a dict, list, set or writable numpy array, dunder names aside."""
+    return sorted(name for name, value in namespace.items() if not name.startswith("__") and (
+        isinstance(value, (dict, list, set)) or isinstance(value, np.ndarray) and value.flags.writeable))
+
+
+def test_kernel_and_loop_modules_bind_no_mutable_global():
+    # A per-run table belongs on the Mixer; a module-level one would outlive the run and leak between runs.
+    assert {m.__name__: mutable_globals(vars(m)) for m in (statevector, dynamics)} == {
+        "lyapcut.statevector": [], "lyapcut.dynamics": []}
+
+
+def test_detector_flags_mutable_globals():
+    frozen = np.zeros(2)
+    frozen.flags.writeable = False
+    namespace = {"CACHE": {}, "ROWS": [], "SEEN": set(), "TABLE": np.zeros(2), "SIGNS": frozen,
+                 "NAMES": ("a",), "KINDS": frozenset("b"), "__builtins__": {}}
+    assert mutable_globals(namespace) == ["CACHE", "ROWS", "SEEN", "TABLE"]

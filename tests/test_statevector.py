@@ -15,6 +15,7 @@ from lyapcut.statevector import (
     expectation_diagonal,
     expectation_pauli,
     feedback_observable,
+    feedback_tables,
     init_plus,
     sum_x,
     sum_yz,
@@ -588,8 +589,10 @@ class TestMirroredState:
                       (float(rng.normal()), {top: "Y", 0: "Z", 1: "Z", 2: "Z"})]
         for diag in (naive_cut_table(n, connected_edges(n, rng)), symmetric_float_diag(n, rng)):
             s = random_mirrored(n, rng)
-            got = feedback_observable(s, ObservableTerms.from_pairs(pairs), diag)
+            mixer = ObservableTerms.from_pairs(pairs)
+            got = feedback_observable(s, mixer, diag)
             assert abs(got - dense_feedback(s.full(), pairs, diag)) < 1e-10
+            assert feedback_observable(s, mixer, diag, feedback_tables(mixer, diag, n, True)) == got
 
     def test_feedback_is_zero_on_mirrored_plus_state(self):
         n = 6
