@@ -89,6 +89,9 @@ _CONFIG_KEYS = {
     "adaptive_dt": (bool, None), "lightcone_feedback": (bool, None), "seed": (int, None),
     "ansatz": (_ANSATZ_ALIASES, None), "p": (float, None), "snapshot_steps": ([int], None),
     "exhaustive_cubic": (bool, None),
+    "workers": (int, None),
+    "state_cap": (int, None),
+    "degree": (int, None),
 }
 _RUN_FIELDS = frozenset(f.name for f in dataclasses.fields(RunConfig))
 
@@ -147,8 +150,9 @@ def _config_from_file(path: str) -> SuiteSpec:
         spec = SuiteSpec(config=cfg, **{k: v for k, v in values.items() if k not in _RUN_FIELDS})
     except ValueError as err:
         raise SystemExit(f"{err} in {path}") from None
-    # A graph key that the family does not read (p for regular3) is refused, as in a graph spec.
-    unread = _unread_graph_keys(spec.family)
+    # A graph key that the family does not read (p for regular3, degree for the others) is refused,
+    # as in a graph spec; config keys carry the make_graph names.
+    unread = _unread_graph_keys(spec.family).values()
     _reject_unknown(raw, [k for k in _CONFIG_KEYS if k not in unread], f"{path} for family {spec.family}")
     return spec
 

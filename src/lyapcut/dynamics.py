@@ -13,7 +13,9 @@ so does a squared norm that drifts from 1 by more than NORM_TOL, checked
 every NORM_CHECK_EVERY rounds and after the last one.
 
 Both loops evolve the mirrored half of the state (see statevector): every
-layer and both mixers commute with the global bit flip, and so does |+>.
+layer and both mixers commute with the global bit flip, and so does |+>. The
+loop builds the Mixer's Workspace once on that state and passes it to every
+kernel call.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .statevector import (
     FeedbackTables,
     ObservableTerms,
     StateError,
+    Workspace,
     apply_diagonal_phase,
     apply_rx,
     apply_ryz,
@@ -147,9 +150,11 @@ class Mixer:
     increments are clamped by the trackers. Kernels are called through this
     module's names, so rebinding one reaches every call.
 
-    The light cone's feedback reads one weight table per BFS head, built on the
-    first observe for the mirrored states the round loop evolves and kept for
-    the run; the transverse field needs none.
+    Every mixer has its feedback tables, built on first use for the mirrored
+    states the round loop evolves and kept for the run: the light cone's hold
+    one weight table per BFS head, the transverse field's only its X_j sums.
+    workspace(state) builds the kernels' views and scratch buffer on the run's
+    state buffer; the round loop builds it once and passes it to every call.
     """
 
     h: MaxCutHamiltonian
@@ -158,22 +163,23 @@ class Mixer:
     yz_edges: Optional[tuple[tuple[int, int], ...]] = None
 
     @cached_property
-    def tables(self) -> Optional[FeedbackTables]:
-        if self.yz_edges is None:
-            return None
+    def tables(self) -> FeedbackTables:
         return feedback_tables(self.generator, self.h.diag, self.h.n, True)
 
-    def observe(self, state) -> float:
-        return feedback_observable(state, self.generator, self.h.diag, self.tables)
+    def workspace(self, state) -> Workspace:
+        return Workspace.build(state, self.tables)
 
-    def apply(self, state, alpha: float, dt: float) -> None:
+    def observe(self, state, workspace: Optional[Workspace] = None) -> float:
+        return feedback_observable(state, self.generator, self.h.diag, self.tables, workspace=workspace)
+
+    def apply(self, state, alpha: float, dt: float, workspace: Optional[Workspace] = None) -> None:
         if self.yz_edges is None:
-            apply_diagonal_phase(state, self.h.diag, dt * (1.0 / self.h.m))
+            apply_diagonal_phase(state, self.h.diag, dt * (1.0 / self.h.m), workspace=workspace)
             for j in range(self.h.n):
-                apply_rx(state, j, alpha * dt)
+                apply_rx(state, j, alpha * dt, workspace=workspace)
         else:
             for j, k in self.yz_edges:
-                apply_ryz(state, j, k, alpha * dt)
+                apply_ryz(state, j, k, alpha * dt, workspace=workspace)
 
     def norm_bounds(self, alpha: float) -> NormBounds:
         eta = [1.0 / self.h.m] * self.h.m if self.yz_edges is None else []
@@ -190,11 +196,12 @@ def _run_loop(
     h = mixer.h
     m = h.m
     state = init_plus(h.n, cap=cfg.state_cap, mirrored=True)
+    workspace = mixer.workspace(state)
     certs = Certificates(m)
     optimum = float(oracle.optimum) if oracle is not None else None
 
-    o_cur = mixer.observe(state)
-    hf_after = expectation_diagonal(state, h.diag)
+    o_cur = mixer.observe(state, workspace)
+    hf_after = expectation_diagonal(state, h.diag, workspace=workspace)
     _check_finite(0, o_cur, hf_after)
     if observer is not None:
         observer(0, hf_after, certs.one, certs.two)
@@ -212,10 +219,10 @@ def _run_loop(
             dt_p = certs.step_size(mixer.norm_bounds(alpha), cfg.epsilon, cfg.dt, alpha, o_used, hf_before)
         violation = certs.advance(alpha, o_used, dt_p, hf_before)
 
-        mixer.apply(state, alpha, dt_p)
+        mixer.apply(state, alpha, dt_p, workspace)
 
-        o_cur = mixer.observe(state)
-        hf_after = expectation_diagonal(state, h.diag)
+        o_cur = mixer.observe(state, workspace)
+        hf_after = expectation_diagonal(state, h.diag, workspace=workspace)
         _check_finite(p, o_cur, hf_after)
         if p % NORM_CHECK_EVERY == 0:
             _check_norm(p, state)

@@ -43,8 +43,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise GraphError(f"need at least 2 vertices, got n={self.n}")
+        _check_size(self.n)
         seen = set()
         for u, v in self.edges:
             if not (0 <= u < v < self.n):
@@ -215,6 +214,11 @@ def bipartite_parts(n: int) -> tuple[int, int]:
     return (n + 1) // 2, n // 2
 
 
+def _check_size(n: int) -> None:
+    if n < 2:
+        raise GraphError(f"need at least 2 vertices, got n={n}")
+
+
 def _check_regular(n: int, d: int) -> None:
     if n * d % 2 != 0:
         raise GraphError(f"n*d must be even, got n={n}, d={d}")
@@ -234,18 +238,20 @@ def _check_bipartite(n1: int, n2: int, p: float) -> None:
 
 
 def _family_generator(family: str, n: int, p: float, degree: int):
-    """The generator of a test family and its arguments but the seed, after the generator's own check."""
+    """The generator of a test family and its arguments but the seed, after the size check of
+    every Graph and the generator's own check."""
+    if family not in FAMILIES:
+        raise GraphError(f"family must be one of {FAMILIES}, got {family!r}")
+    _check_size(n)
     if family == "regular3":
         _check_regular(n, degree)
         return gen_random_regular, (n, degree)
     if family == "erdos_renyi":
         _check_probability(p)
         return gen_erdos_renyi, (n, p)
-    if family == "bipartite":
-        parts = bipartite_parts(n)
-        _check_bipartite(*parts, p)
-        return gen_bipartite, (*parts, p)
-    raise GraphError(f"family must be one of {FAMILIES}, got {family!r}")
+    parts = bipartite_parts(n)
+    _check_bipartite(*parts, p)
+    return gen_bipartite, (*parts, p)
 
 
 def check_family(family: str, n: int, p: float = 0.5, degree: int = 3) -> None:

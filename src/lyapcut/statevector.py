@@ -31,6 +31,17 @@ qubit and letter, P = Delta_j * sum c s_S over the pairs of amplitudes that
 differ in bit j. feedback_tables builds the tables once for a run; a table
 then costs one product conj(a0) a1 and one contraction per call, and no
 BLAS call.
+
+Workspace. A run's kernels rebuild nothing per call: Workspace.build makes,
+once per run and state buffer, the strided views every gate and feedback term
+walks, the phase level table, and one scratch buffer of the stored size that
+the gates' partner products, e = -i D psi, the pair products, the phases and
+the probabilities of <H_f> share in turn. Every kernel takes it as the
+optional keyword workspace; without one a call builds what it needs and runs
+the same code, so both give the same bits. A workspace of another buffer,
+layout or diagonal raises StateError. Only numpy's own iteration buffers of
+at most 8192 entries, which a ufunc over a strided view of an RYZ gate or a
+feedback pair takes, remain per call.
 """
 
 from __future__ import annotations
@@ -210,14 +221,46 @@ def _partner(amps: np.ndarray, q: int, top: int) -> np.ndarray:
     return amps.reshape(-1, 2, 1 << q)[:, ::-1, :]
 
 
-def apply_rx(state: StateVector, qubit: int, theta: float) -> StateVector:
-    """exp(-i theta X) on one qubit, i.e. [[cos, -i sin], [-i sin, cos]]."""
+def _rx_views(amps: np.ndarray, q: int, top: int, scratch: np.ndarray):
+    """(partner, product, scratch, walk) of RX on qubit q: product is a view of scratch in
+    the partner's shape, which the call fills with partner * (-i sin) before it adds
+    scratch to amps.
+
+    walk is True where the call multiplies partner into product in C order: for
+    qubit top, whose partner is flat; below qubit 2, whose halves are runs of 1-2
+    entries that numpy walks slowly, so both views are stored transposed, long axis
+    innermost; and where the halves are runs of at least np.getbufsize() entries.
+    Between those, a strided multiply would take numpy's iteration buffers, so the
+    call copies partner into product and multiplies scratch in place instead.
+    """
+    if q == top:
+        return amps[::-1], scratch, scratch, True
+    partner, product = _partner(amps, q, top), scratch.reshape(-1, 2, 1 << q)
+    if q < 2:
+        return partner.T, product.T, scratch, True
+    return partner, product, scratch, 1 << q >= np.getbufsize()
+
+
+def apply_rx(state: StateVector, qubit: int, theta: float, *, workspace: Workspace | None = None) -> StateVector:
+    """exp(-i theta X) on one qubit, i.e. [[cos, -i sin], [-i sin, cos]].
+
+    workspace is a Workspace of this state; without one the call builds its views
+    and a scratch buffer of the stored size for itself.
+    """
     _check_qubit(state, qubit)
-    c, s = math.cos(theta), math.sin(theta)
     h = state.amplitudes
-    p = _partner(h, qubit, _mirror_top(state)) * (-1j * s)
+    if workspace is None:
+        partner, product, scratch, walk = _rx_views(h, qubit, _mirror_top(state), np.empty_like(h))
+    else:
+        partner, product, scratch, walk = _gate(workspace, state, workspace.rx, qubit)
+    c, s = math.cos(theta), math.sin(theta)
+    if walk:
+        np.multiply(partner, -1j * s, out=product, order="C")
+    else:
+        product[...] = partner
+        scratch *= -1j * s
     h *= c
-    h += p.reshape(-1)
+    h += scratch
     return state
 
 
@@ -240,53 +283,123 @@ def apply_rzz(state: StateVector, q1: int, q2: int, theta: float) -> StateVector
     return state
 
 
-def apply_ryz(state: StateVector, qy: int, qz: int, theta: float) -> StateVector:
+# y z over the bits that carry a sign in apply_ryz: the other bit when one of the
+# pair is qubit n-1 of a mirrored state, else (bit hi, bit lo).
+_YZ_SIGNS_TOP = np.array([[-1.0], [1.0]])
+_YZ_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0]).reshape(2, 1, 2, 1)
+_YZ_SIGNS_TOP.flags.writeable = _YZ_SIGNS.flags.writeable = False
+
+
+def _ryz_views(amps: np.ndarray, qy: int, qz: int, top: int, scratch: np.ndarray):
+    """(partner, product, signs, table, scratch) of RYZ on (qy, qz): the call copies partner
+    into product, a view of scratch in the partner's shape, multiplies it by the
+    complex table whose real part it sets to signs * sin, then adds scratch to
+    amps. The copy spares the multiply one of numpy's iteration buffers.
+
+    The partner is the amplitude at bit qy flipped, in a shape with one axis per bit
+    that carries a sign.
+    """
+    if top in (qy, qz):
+        shape, signs = (-1, 2, 1 << (qz if qy == top else qy)), _YZ_SIGNS_TOP
+        partner = _partner(amps, qy, top).reshape(shape)
+    else:
+        hi, lo = max(qy, qz), min(qy, qz)
+        shape, signs = (-1, 2, 1 << (hi - lo - 1), 2, 1 << lo), _YZ_SIGNS
+        flip = (slice(None), slice(None, None, -1)) if qy == hi else (slice(None),) * 3 + (slice(None, None, -1),)
+        partner = amps.reshape(shape)[flip]
+    return partner, scratch.reshape(shape), signs, np.zeros(signs.shape, dtype=np.complex128), scratch
+
+
+def apply_ryz(state: StateVector, qy: int, qz: int, theta: float, *, workspace: Workspace | None = None) -> StateVector:
     """exp(-i theta Y Z) with Y on qy and Z on qz: a <- c a + s y z a', with a' the
     amplitude at bit qy flipped, y = -1 / +1 on bit qy = 0 / 1 and z = (-1)^(bit qz).
 
     The sign table is complex so that the multiply needs no cast. Bit n-1 of a
     mirrored state is 0, so y = -1 when qy = n-1 and z = +1 when qz = n-1: only
     the other bit carries a sign, and y z is [-1, 1] over it either way.
+    workspace is a Workspace of this state; without one the call builds its views
+    and a scratch buffer of the stored size for itself.
     """
     _check_qubit(state, qy)
     _check_qubit(state, qz)
     if qy == qz:
         raise StateError("ryz needs two distinct qubits")
-    c, s = math.cos(theta), math.sin(theta)
-    h, top = state.amplitudes, _mirror_top(state)
-    if top in (qy, qz):
-        shape = (-1, 2, 1 << (qz if qy == top else qy))
-        table = np.array([[-s], [s]], dtype=np.complex128)
+    h = state.amplitudes
+    if workspace is None:
+        partner, product, signs, table, scratch = _ryz_views(h, qy, qz, _mirror_top(state), np.empty_like(h))
     else:
-        hi, lo = max(qy, qz), min(qy, qz)
-        shape = (-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-        table = np.array([-s, s, s, -s], dtype=np.complex128).reshape(2, 1, 2, 1)
-    p = _partner(h, qy, top).reshape(shape) * table
+        partner, product, signs, table, scratch = _gate(workspace, state, workspace.ryz, (qy, qz))
+    c, s = math.cos(theta), math.sin(theta)
+    product[...] = partner
+    np.multiply(signs, s, out=table.real)
+    product *= table
     h *= c
-    h += p.reshape(-1)
+    h += scratch
     return state
 
 
-def apply_diagonal_phase(state: StateVector, diag: np.ndarray, gamma: float) -> StateVector:
+def _levels(half: np.ndarray) -> np.ndarray | None:
+    """The phase levels 0..max of a nonnegative integer diagonal, None for any other."""
+    if np.issubdtype(half.dtype, np.integer) and half.min() >= 0:
+        return np.arange(int(half.max()) + 1)
+    return None
+
+
+def _gather_plan(amps: np.ndarray, half: np.ndarray, scratch: np.ndarray):
+    """The two halves of a phase gather, as (indices, phases, diagonal part, amplitude part).
+
+    Each half's phases go into one half of scratch while its indices, as intp, sit
+    in the other, so np.take needs no index conversion and the gather allocates
+    nothing.
+    """
+    q = amps.size // 2
+    lower, upper = scratch[:q], scratch[q:]
+    return ((upper.view(np.intp)[:q], lower, half[:q], amps[:q]),
+            (lower.view(np.intp)[: amps.size - q], upper, half[q:], amps[q:]))
+
+
+def apply_diagonal_phase(state: StateVector, diag: np.ndarray, gamma: float, *,
+                         workspace: Workspace | None = None) -> StateVector:
     """Multiply amplitude[x] by e^{-i gamma diag[x]}; exact for diagonal evolution.
 
-    Integer-valued tables go through a phase lookup so the per-step cost is one
-    gather instead of a full complex exponential sweep.
+    Nonnegative integer tables go through a phase lookup so the per-step cost is
+    one gather instead of a full complex exponential sweep. workspace is a
+    Workspace of this state and diagonal, which holds the level table and the
+    gather's views; without one the call builds them for itself.
     """
-    diag = _diag_for(diag, state.n_qubits, state.mirrored)
-    if np.issubdtype(diag.dtype, np.integer):
-        table = np.exp(-1j * gamma * np.arange(int(diag.max()) + 1))
-        state.amplitudes *= table[diag]
+    half = _diag_for(diag, state.n_qubits, state.mirrored)
+    amps = state.amplitudes
+    if workspace is None:
+        levels, scratch = _levels(half), np.empty_like(amps)
+        plan = _gather_plan(amps, half, scratch)
     else:
-        state.amplitudes *= np.exp(-1j * gamma * diag)
+        _bound(workspace, state, diag)
+        levels, scratch, plan = workspace.levels, workspace.scratch, workspace.gather
+    if levels is None:
+        np.multiply(-1j * gamma, half, out=scratch)
+        np.exp(scratch, out=scratch)
+        amps *= scratch
+    else:
+        table = np.exp(-1j * gamma * levels)
+        for indices, phases, part, target in plan:
+            indices[...] = part
+            table.take(indices, out=phases, mode="clip")
+            target *= phases
     return state
 
 
-def expectation_diagonal(state: StateVector, diag: np.ndarray) -> float:
-    diag = _diag_for(diag, state.n_qubits, state.mirrored)
+def expectation_diagonal(state: StateVector, diag: np.ndarray, *, workspace: Workspace | None = None) -> float:
+    """<psi| D |psi> for a diagonal D; the probabilities and D as floats go into one
+    scratch buffer of the stored size, the workspace's or one built for the call."""
+    half = _diag_for(diag, state.n_qubits, state.mirrored)
     a = state.amplitudes
-    probs = a.real * a.real + a.imag * a.imag
-    value = float(probs @ diag)
+    scratch = np.empty_like(a) if workspace is None else _bound(workspace, state, diag).scratch
+    probs, weights = scratch.view(np.float64).reshape(2, -1)
+    np.multiply(a.real, a.real, out=probs)
+    np.multiply(a.imag, a.imag, out=weights)
+    probs += weights
+    weights[...] = half
+    value = float(probs @ weights)
     return 2.0 * value if state.mirrored else value
 
 
@@ -323,15 +436,13 @@ def expectation_pauli(state: StateVector, obs: ObservableTerms) -> float:
     return float(np.einsum("i,i->", amps.conj(), applied).real)
 
 
-def _partner_overlap(amps: np.ndarray, e: np.ndarray, j: int, top: int) -> float:
-    """Re sum_y conj((X_j amps)[y]) e[y], one einsum over float views. Qubit top
-    reads amps reversed; runs of 2-4 floats (qubits 0, 1 and top) are walked
-    transposed, so the long axis is innermost."""
+def _pure_views(amps: np.ndarray, scratch: np.ndarray, j: int, top: int):
+    """(partner, e) float views of a pure X_j term: Re sum_y conj((X_j amps)[y]) e[y] is
+    their einsum, with e = -i D psi in scratch. Qubit top reads amps reversed; runs of
+    2-4 floats (qubits 0, 1 and top) are stored transposed, so the long axis is innermost."""
     shape = (1, -1, 2) if j == top else (-1, 2, 2 << j)
-    p, w = amps.view(np.float64).reshape(shape)[:, ::-1, :], e.view(np.float64).reshape(shape)
-    if shape[-1] <= 4:
-        p, w = p.T, w.T
-    return float(np.einsum("ijk,ijk->", p, w, order="C"))
+    p, w = amps.view(np.float64).reshape(shape)[:, ::-1, :], scratch.view(np.float64).reshape(shape)
+    return (p.T, w.T) if shape[-1] <= 4 else (p, w)
 
 
 def _walk(view: np.ndarray, j: int) -> np.ndarray:
@@ -341,12 +452,98 @@ def _walk(view: np.ndarray, j: int) -> np.ndarray:
     return view.T if j < 3 else view
 
 
-def _weighted_overlap(amps: np.ndarray, j: int, top: int, letter: str, table: np.ndarray) -> float:
-    """Sum over the pairs (a0, a1) that differ in bit j of table times Re (letter Y) or Im (letter X) of conj(a0) a1."""
-    a0, a1 = _pairs(amps, j, top)
-    w = np.conjugate(_walk(a0, j), order="C")
-    w *= _walk(a1, j)
-    return float(((w.real if letter == "Y" else w.imag) * table).sum())
+def _pair_views(amps: np.ndarray, scratch: np.ndarray, j: int, top: int):
+    """(a0, a1, product, weighted) views of the amplitude pairs that differ in bit j: a0
+    and a1 in walk order, then C-ordered views of scratch for conj(a0) a1 and for its
+    real or imaginary part times the weight table. scratch needs 3/4 of the stored size."""
+    a0, a1 = (_walk(view, j) for view in _pairs(amps, j, top))
+    count = a0.size
+    return a0, a1, scratch[:count].reshape(a0.shape), scratch[count:].view(np.float64)[:count].reshape(a0.shape)
+
+
+def _minus_i_d_psi(amps: np.ndarray, half: np.ndarray, e: np.ndarray) -> None:
+    """e = -i D psi in place. D goes in as the real part first, so no cast buffer is allocated."""
+    e.real[...] = half
+    e.imag[...] = 0.0
+    e *= amps
+    e *= -1j
+
+
+@dataclass(frozen=True, eq=False)
+class Workspace:
+    """What the kernels reuse across the rounds of one run on one state buffer.
+
+    scratch is one buffer of the stored size. The gates write their partner
+    product there, feedback_observable its e = -i D psi or its pair products,
+    the phase layer its phases and expectation_diagonal its probabilities; no
+    two calls overlap in time, so one buffer serves them all. rx, ryz, pure,
+    weighted and gather hold the views each kernel walks, built on amplitudes
+    and scratch: an RX view per X_j term and an RYZ view per Y_j Z_k term of
+    the tables' mixer, the feedback's views per table, and the phase gather's.
+    levels is the phase level table of the tables' diagonal, None when it is
+    not a nonnegative integer table.
+
+    A kernel given a workspace of another buffer, layout or diagonal raises
+    StateError. Build one with Workspace.build once per run.
+    """
+
+    amplitudes: np.ndarray
+    tables: FeedbackTables
+    scratch: np.ndarray
+    levels: np.ndarray | None
+    gather: tuple
+    rx: dict
+    ryz: dict
+    pure: tuple
+    weighted: tuple
+
+    @classmethod
+    def build(cls, state: StateVector, tables: FeedbackTables) -> "Workspace":
+        """The workspace of the kernels on state's buffer, for tables' mixer and diagonal."""
+        if (tables.n_qubits, tables.mirrored) != (state.n_qubits, state.mirrored):
+            raise StateError("feedback tables were built for another state layout")
+        amps, top = state.amplitudes, _mirror_top(state)
+        half = _diag_for(tables.diag, state.n_qubits, state.mirrored)
+        scratch = np.empty_like(amps)
+        rx, ryz = {}, {}
+        for term in tables.mixer.terms:
+            qubit_of = {p: q for q, p in term.ops}
+            if len(term.ops) == 1 and "X" in qubit_of:
+                rx[qubit_of["X"]] = _rx_views(amps, qubit_of["X"], top, scratch)
+            elif len(term.ops) == 2 and qubit_of.keys() == {"Y", "Z"}:
+                key = (qubit_of["Y"], qubit_of["Z"])
+                ryz[key] = _ryz_views(amps, *key, top, scratch)
+        return cls(
+            amplitudes=amps,
+            tables=tables,
+            scratch=scratch,
+            levels=_levels(half),
+            gather=_gather_plan(amps, half, scratch),
+            rx=rx,
+            ryz=ryz,
+            pure=tuple((c, *_pure_views(amps, scratch, j, top)) for j, c in tables.pure),
+            weighted=tuple((letter, table, *_pair_views(amps, scratch, j, top))
+                           for j, letter, table in tables.weighted),
+        )
+
+
+def _bound(workspace: Workspace, state: StateVector, diag=None) -> Workspace:
+    """workspace, after checking that it was built on state's buffer and layout (and diag, if given)."""
+    tables = workspace.tables
+    # One buffer holds one size, so with the same buffer and mirroring the qubit count agrees too.
+    if (workspace.amplitudes is not state.amplitudes or tables.mirrored != state.mirrored
+            or (diag is not None and diag is not tables.diag)):
+        raise StateError("workspace was built for another state buffer, layout or diagonal")
+    return workspace
+
+
+def _gate(workspace: Workspace, state: StateVector, views: dict, key):
+    """The prebuilt views of one gate of the workspace's mixer."""
+    _bound(workspace, state)
+    gate = views.get(key)
+    if gate is None:
+        raise StateError(f"workspace has no gate on qubits {key}; its mixer has no such term")
+    return gate
 
 
 def _add_z_string(values: np.ndarray, c, z_bits: tuple[int, ...]) -> None:
@@ -369,7 +566,7 @@ def _weight_table(half: np.ndarray, j: int, top: int, terms) -> np.ndarray:
 
     half is the diagonal over the stored amplitudes, Delta_j = D|bit j=1 - D|bit j=0
     and s_S the sign of the term's Z string. The table is laid out in the order
-    _weighted_overlap walks the pairs. It is exact and as narrow as its range
+    _pair_views walks the pairs. It is exact and as narrow as its range
     allows (int8 where |P| <= 127) when D and every coefficient are integers, and
     float64 otherwise.
     """
@@ -455,7 +652,7 @@ def feedback_tables(mixer: ObservableTerms, diag: np.ndarray, n_qubits: int, mir
 
 
 def feedback_observable(state: StateVector, mixer: ObservableTerms, diag: np.ndarray,
-                        tables: FeedbackTables | None = None) -> float:
+                        tables: FeedbackTables | None = None, *, workspace: Workspace | None = None) -> float:
     """Expectation of i[A, H_f] for Hermitian mixer A and diagonal H_f = D.
 
     O = -2 Im <psi| A (D psi)>, evaluated in closed form per kind of term:
@@ -472,25 +669,42 @@ def feedback_observable(state: StateVector, mixer: ObservableTerms, diag: np.nda
 
     tables are feedback_tables(mixer, diag, n, mirrored) of this state's
     layout; without them the call builds them for itself, one at a time.
+    workspace is a Workspace of this state built from such tables, whose
+    tables, views and scratch buffer the call uses; without one the call
+    builds its views and a scratch buffer for itself.
     A term that flips two or more qubits raises StateError, and so does, on a
     mirrored state, a term that anticommutes with the global flip.
     On a mirrored state every sum counts twice, for the mirror image, and a Z
     on qubit n-1 is +1.
     """
     amps, n, top = state.amplitudes, state.n_qubits, _mirror_top(state)
+    if workspace is not None:
+        built = _bound(workspace, state).tables
+        if tables is not None and tables is not built:
+            raise StateError("feedback tables and workspace were built apart")
+        tables = built
     if tables is None:
         half, pure, weighted = _split(mixer, diag, n, state.mirrored)
     elif tables.mixer is mixer and tables.diag is diag and (tables.n_qubits, tables.mirrored) == (n, state.mirrored):
         half, pure, weighted = diag[: amps.size], tables.pure, tables.weighted
     else:
         raise StateError("feedback tables were built for another mixer, diagonal or state layout")
+    if workspace is None:
+        scratch = np.empty(amps.size if pure else amps.size - amps.size // 4, dtype=np.complex128)
+        pure = tuple((c, *_pure_views(amps, scratch, j, top)) for j, c in pure)
+        weighted = ((letter, table, *_pair_views(amps, scratch, j, top)) for j, letter, table in weighted)
+    else:
+        scratch, pure, weighted = workspace.scratch, workspace.pure, workspace.weighted
     mirror_scale = 2.0 if state.mirrored else 1.0
     total = 0.0
     if pure:
-        e = np.multiply(amps, half)
-        e *= -1j
-        for j, c in pure:
-            total -= 2.0 * mirror_scale * c * _partner_overlap(amps, e, j, top)
-    for j, letter, table in weighted:
-        total += (2.0 if letter == "Y" else -2.0) * mirror_scale * _weighted_overlap(amps, j, top, letter, table)
+        _minus_i_d_psi(amps, half, scratch)
+        for c, p, e in pure:
+            total -= 2.0 * mirror_scale * c * float(np.einsum("ijk,ijk->", p, e, order="C"))
+    for letter, table, a0, a1, product, part in weighted:
+        np.conjugate(a0, out=product, order="C")
+        product *= a1
+        part[...] = table
+        part *= product.real if letter == "Y" else product.imag
+        total += (2.0 if letter == "Y" else -2.0) * mirror_scale * float(part.sum())
     return float(total + 0.0)

@@ -226,7 +226,9 @@ def test_exhaustive_cubic_config_checked_before_any_run(tmp_path, command, confi
      r"^regular3 graphs of n=7 \(n_list\): n\*d must be even, got n=7, d=3 in .*cfg\.json$"),
     ({"family": "erdos_renyi", "n_list": [8], "p": 0.0},
      r"^erdos_renyi graphs of n=8 \(n_list\): need 0 < p <= 1, got p=0\.0 in .*cfg\.json$"),
-], ids=["odd_cubic_size", "zero_p"])
+    ({"family": "erdos_renyi", "n_list": [1]},
+     r"^erdos_renyi graphs of n=1 \(n_list\): need at least 2 vertices, got n=1 in .*cfg\.json$"),
+], ids=["odd_cubic_size", "zero_p", "one_vertex"])
 def test_config_the_generator_refuses_stops_before_any_run(tmp_path, command, config, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
@@ -242,6 +244,27 @@ def test_config_key_the_family_ignores_names_key_and_family(tmp_path):
     with pytest.raises(SystemExit, match=r"^unknown key\(s\) p in .*cfg\.json for family regular3; known: "):
         main(["suite", "--config", str(cfg_path), "--out", str(tmp_path / "suite")])
     assert not (tmp_path / "suite").exists()
+
+
+@pytest.mark.parametrize("family", ["er", "bipartite"])
+def test_config_degree_is_refused_for_families_other_than_cubic(tmp_path, family):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"family": family, "n_list": [6], "degree": 4}))
+    with pytest.raises(SystemExit, match=r"^unknown key\(s\) degree in .*cfg\.json for family (erdos_renyi|bipartite); "):
+        main(["suite", "--config", str(cfg_path), "--out", str(tmp_path / "suite")])
+    assert not (tmp_path / "suite").exists()
+
+
+def test_config_workers_runs_the_pool_with_the_serial_output(tmp_path):
+    outputs = []
+    for workers in (1, 2):
+        cfg_path = tmp_path / f"cfg{workers}.json"
+        cfg_path.write_text(json.dumps({"n_list": [6], "instances_per_n": 2, "rounds": 3, "degree": 4,
+                                        "state_cap": 8, "workers": workers}))
+        out = tmp_path / f"suite{workers}"
+        assert main(["suite", "--config", str(cfg_path), "--out", str(out)]) == 0
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1] and len(outputs[0]) >= 4
 
 
 @pytest.fixture
@@ -275,6 +298,9 @@ NON_DEFAULT = {
     "p": ({"family": "bipartite", "p": 0.3}, 0.3),
     "snapshot_steps": ({"snapshot_steps": [1, 5]}, (1, 5)),
     "exhaustive_cubic": ({"exhaustive_cubic": True}, True),
+    "workers": ({"workers": 2}, 2),
+    "state_cap": ({"state_cap": 20}, 20),
+    "degree": ({"degree": 4}, 4),
 }
 
 

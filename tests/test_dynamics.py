@@ -25,7 +25,16 @@ from lyapcut.dynamics import (
 )
 from lyapcut import dynamics
 from lyapcut.hamiltonian import commutator_terms
-from lyapcut.statevector import StateError, StateVector, expectation_pauli, feedback_observable, init_plus, sum_yz
+from lyapcut.statevector import (
+    StateError,
+    StateVector,
+    Workspace,
+    expectation_pauli,
+    feedback_observable,
+    init_plus,
+    sum_x,
+    sum_yz,
+)
 
 import dense_reference as dense
 
@@ -365,7 +374,7 @@ class TestRoundLoopKernels:
 
     def test_non_finite_initial_value_is_round_zero(self, monkeypatch, cubic10):
         g, h, oracle = cubic10
-        monkeypatch.setattr(dynamics, "feedback_observable", lambda *args: math.nan)
+        monkeypatch.setattr(dynamics, "feedback_observable", lambda *args, **kwargs: math.nan)
         with pytest.raises(StateError, match="round 0"):
             run_light_cone(g, h, RunConfig(rounds=3), oracle)
 
@@ -376,8 +385,8 @@ class TestNormDrift:
         g, h, oracle = cubic10
         original = dynamics.apply_rx
 
-        def leaky(state, qubit, theta):
-            original(state, qubit, theta)
+        def leaky(state, qubit, theta, **kwargs):
+            original(state, qubit, theta, **kwargs)
             state.amplitudes *= 1.0 + 1e-6
             return state
 
@@ -457,13 +466,13 @@ class TestMixerFeedbackTables:
         root = {j: table for j, _, table in mixer.tables.weighted}[0]
         assert root.dtype == np.int16 and int(np.abs(root).max()) == 225
 
-    def test_tables_are_built_once_per_light_cone_run_and_never_for_the_transverse_field(self, monkeypatch, cubic10):
+    def test_tables_are_built_once_per_run_for_both_ansaetze(self, monkeypatch, cubic10):
         g, h, oracle = cubic10
         builds = counting(monkeypatch, "feedback_tables")
         run_light_cone(g, h, RunConfig(rounds=7), oracle)
         assert len(builds) == 1
         run_qaoa_feedback(g, h, RunConfig(rounds=7), oracle)
-        assert len(builds) == 1
+        assert len(builds) == 2
 
     def test_observe_with_built_tables_allocates_under_one_state_size(self):
         n = 16
@@ -491,3 +500,51 @@ class TestMixerFeedbackTables:
         mixer = light_cone_mixer(gen_random_regular(8, 3, seed=1))
         with pytest.raises(StateError, match="another mixer, diagonal or state layout"):
             mixer.observe(init_plus(8))
+
+
+# numpy buffers up to 8192 entries of a ufunc over strided views: the RYZ gate's sign
+# multiply and the light cone's pair products take one such complex buffer.
+ITERATION_BUFFER = 8192 * 16
+
+
+class TestMixerWorkspace:
+    """A run builds one Workspace on its state buffer and hands it to every kernel call."""
+
+    @pytest.mark.parametrize("runner", [run_qaoa_feedback, run_light_cone])
+    def test_every_kernel_call_of_a_run_gets_the_one_workspace(self, monkeypatch, cubic10, runner):
+        g, h, oracle = cubic10
+        seen = []
+        for name in ("apply_rx", "apply_ryz", "apply_diagonal_phase", "feedback_observable", "expectation_diagonal"):
+            original = getattr(dynamics, name)
+
+            def wrapper(state, *args, original=original, **kwargs):
+                seen.append((state.amplitudes, kwargs["workspace"]))
+                return original(state, *args, **kwargs)
+
+            monkeypatch.setattr(dynamics, name, wrapper)
+        runner(g, h, RunConfig(rounds=3), oracle)
+        buffers, workspaces = {id(b) for b, _ in seen}, {id(w) for _, w in seen}
+        assert len(buffers) == 1 and len(workspaces) == 1
+        buffer, workspace = seen[0]
+        assert isinstance(workspace, Workspace) and workspace.amplitudes is buffer
+
+    @pytest.mark.parametrize("n", [16, 18])
+    @pytest.mark.parametrize("ansatz", ["qaoa_feedback", "light_cone"])
+    def test_a_round_after_the_first_allocates_no_state_sized_temporary(self, ansatz, n):
+        # The smallest state-sized temporary, half the stored amplitudes as float64, is
+        # 128 KiB at n=16 and 512 KiB at n=18; the bounds do not grow with n.
+        g = gen_random_regular(n, 3, seed=1)
+        mixer = light_cone_mixer(g) if ansatz == "light_cone" else Mixer(build_maxcut(g), sum_x(n))
+        state = init_plus(n, mirrored=True)
+        workspace = mixer.workspace(state)
+        mixer.observe(state, workspace)
+        mixer.apply(state, 0.3, 0.08, workspace)
+        mixer.observe(state, workspace)
+        tracemalloc.start()
+        try:
+            mixer.apply(state, 0.3, 0.08, workspace)
+            mixer.observe(state, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8192 + (ITERATION_BUFFER if ansatz == "light_cone" else 0)

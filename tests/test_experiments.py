@@ -21,7 +21,7 @@ from lyapcut.experiments import (
     suite_instances,
     write_trace_csv,
 )
-from lyapcut.graphs import Graph
+from lyapcut.graphs import FAMILIES, Graph
 from lyapcut.graphs import brute_force_max_cut
 
 
@@ -66,6 +66,11 @@ class TestSuiteSpec:
     def test_exhaustive_cubic_checked_on_construction(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             small_spec(exhaustive_cubic=True, **overrides)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_size_below_two_refused_on_construction(self, family):
+        with pytest.raises(ValueError, match=rf"^{family} graphs of n=1 \(n_list\): need at least 2 vertices, got n=1$"):
+            small_spec(family=family, n_list=(8, 1))
 
     def test_exhaustive_cubic_yields_every_class(self):
         spec = small_spec(exhaustive_cubic=True, n_list=(4, 6))

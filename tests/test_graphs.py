@@ -242,6 +242,15 @@ class TestMakeGraph:
         with pytest.raises(GraphError, match="family"):
             make_graph("er", 8, seed=0)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_fewer_than_two_vertices_refused_before_sampling(self, family, n):
+        # Graph refuses n < 2 itself; the family check must say so before any sample.
+        with pytest.raises(GraphError, match=rf"^need at least 2 vertices, got n={n}$"):
+            graphs.check_family(family, n)
+        with pytest.raises(GraphError, match="need at least 2 vertices"):
+            make_graph(family, n, seed=0)
+
 
 class TestEdgeColoring:
     def test_triangle_three_singleton_layers(self, triangle):

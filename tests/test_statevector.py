@@ -20,6 +20,7 @@ from lyapcut.statevector import (
     sum_x,
     sum_yz,
     StateVector,
+    Workspace,
 )
 
 from lyapcut.dynamics import bfs_order
@@ -634,3 +635,101 @@ class TestMirroredState:
         vec = s.full()
         expect = float((vec.conj() @ dense.dense_observable(n, pairs) @ vec).real)
         assert abs(expectation_pauli(s, ObservableTerms.from_pairs(pairs)) - expect) < 1e-10
+
+
+def workspace_cases(n, rng):
+    """A cut table, the same table shifted to negative levels, and a float diagonal, each with
+    the transverse field and the BFS-oriented light cone of one random connected graph."""
+    edges = connected_edges(n, rng)
+    oriented = bfs_order(Graph.from_edges(n, edges)).oriented_edges
+    cut = naive_cut_table(n, edges).astype(np.uint16)
+    for diag in (cut, cut.astype(np.int64) - 3, symmetric_float_diag(n, rng)):
+        yield diag, [(1.0, {j: "X"}) for j in range(n)], [("rx", (j,)) for j in range(n)]
+        yield diag, [(1.0, {j: "Y", k: "Z"}) for j, k in oriented], [("ryz", e) for e in oriented]
+
+
+class TestWorkspace:
+    """Every kernel reads a Workspace's prebuilt views and scratch buffer, and gives the
+    same bits as the same call that builds them for itself."""
+
+    @pytest.mark.parametrize("n", MIRROR_SIZES)
+    def test_kernels_with_and_without_a_workspace_agree_bitwise_and_with_dense(self, n):
+        rng = np.random.default_rng(400 + n)
+        for diag, pairs, gates in workspace_cases(n, rng):
+            mixer = ObservableTerms.from_pairs(pairs)
+            bare = random_mirrored(n, rng)
+            held = bare.copy()
+            ws = Workspace.build(held, feedback_tables(mixer, diag, n, True))
+            for _ in range(2):
+                vec = bare.full()
+                got = feedback_observable(held, mixer, diag, workspace=ws)
+                assert got == feedback_observable(bare, mixer, diag)
+                assert abs(got - dense_feedback(vec, pairs, diag)) < 1e-10
+                got = expectation_diagonal(held, diag, workspace=ws)
+                assert got == expectation_diagonal(bare, diag)
+                assert abs(got - float((vec.conj() @ (np.asarray(diag) * vec)).real)) < 1e-10
+                gamma = float(rng.uniform(-1.0, 1.0))
+                expect = dense.dense_diag_phase(diag, gamma) @ vec
+                apply_diagonal_phase(bare, diag, gamma)
+                apply_diagonal_phase(held, diag, gamma, workspace=ws)
+                assert np.array_equal(held.amplitudes, bare.amplitudes)
+                assert_mirror_matches(held, expect)
+                for kind, qubits in gates:
+                    theta = float(rng.uniform(-1.5, 1.5))
+                    if kind == "rx":
+                        expect = dense.dense_rx(n, *qubits, theta) @ bare.full()
+                        apply_rx(bare, *qubits, theta)
+                        apply_rx(held, *qubits, theta, workspace=ws)
+                    else:
+                        expect = dense.dense_ryz(n, *qubits, theta) @ bare.full()
+                        apply_ryz(bare, *qubits, theta)
+                        apply_ryz(held, *qubits, theta, workspace=ws)
+                    assert np.array_equal(held.amplitudes, bare.amplitudes)
+                    assert_mirror_matches(held, expect)
+
+    def test_full_states_take_a_workspace_too(self):
+        rng = np.random.default_rng(410)
+        n = 4
+        diag = naive_cut_table(n, [(0, 1), (1, 2), (2, 3)])
+        mixer = sum_x(n)
+        bare = random_sv(n, rng)
+        held = bare.copy()
+        ws = Workspace.build(held, feedback_tables(mixer, diag, n, False))
+        assert feedback_observable(held, mixer, diag, workspace=ws) == feedback_observable(bare, mixer, diag)
+        for q in range(n):
+            apply_rx(bare, q, 0.3)
+            apply_rx(held, q, 0.3, workspace=ws)
+        assert np.array_equal(held.amplitudes, bare.amplitudes)
+
+    def test_another_buffer_layout_or_diagonal_is_refused(self):
+        n = 5
+        rng = np.random.default_rng(420)
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
+        diag = naive_cut_table(n, edges)
+        lc = ObservableTerms.from_pairs([(1.0, {j: "Y", k: "Z"}) for j, k in edges])
+        state = random_mirrored(n, rng)
+        ws = Workspace.build(state, feedback_tables(lc, diag, n, True))
+        other = state.copy()
+        calls = [
+            lambda s: apply_ryz(s, 0, 1, 0.2, workspace=ws),
+            lambda s: apply_rx(s, 0, 0.2, workspace=ws),
+            lambda s: apply_diagonal_phase(s, diag, 0.2, workspace=ws),
+            lambda s: expectation_diagonal(s, diag, workspace=ws),
+            lambda s: feedback_observable(s, lc, diag, workspace=ws),
+        ]
+        for call in calls:
+            with pytest.raises(StateError, match="another state buffer"):
+                call(other)
+        # Same buffer, but read as a full state of n-1 qubits.
+        with pytest.raises(StateError, match="another state buffer, layout"):
+            apply_ryz(StateVector(n - 1, state.amplitudes), 0, 1, 0.2, workspace=ws)
+        with pytest.raises(StateError, match="diagonal"):
+            expectation_diagonal(state, diag.copy(), workspace=ws)
+        with pytest.raises(StateError, match="no gate"):
+            apply_ryz(state, 1, 0, 0.2, workspace=ws)
+        with pytest.raises(StateError, match="no gate"):
+            apply_rx(state, 0, 0.2, workspace=ws)
+        with pytest.raises(StateError, match="built apart"):
+            feedback_observable(state, lc, diag, feedback_tables(lc, diag, n, True), workspace=ws)
+        with pytest.raises(StateError, match="another state layout"):
+            Workspace.build(init_plus(n), feedback_tables(lc, diag, n, True))
