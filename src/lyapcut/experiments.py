@@ -212,13 +212,15 @@ def _solve_each(spec: SuiteSpec, instances: Sequence[tuple[str, Graph]],
 
     With workers > 1 the runs fan out over a process pool, whose map keeps the
     input order and hands each result over as soon as it and its predecessors
-    are done; each run only touches immutable inputs.
+    are done; each run only touches immutable inputs. workers comes from a
+    config file, so the pool starts no more processes than there are
+    instances or CPUs.
     """
     graphs = [g for _, g in instances]
     if spec.workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported here: sequential runs never pay for it
 
-        context = ProcessPoolExecutor(max_workers=spec.workers)
+        context = ProcessPoolExecutor(max_workers=max(1, min(spec.workers, len(graphs), os.cpu_count() or 1)))
     else:
         context = nullcontext()
     with context as pool:

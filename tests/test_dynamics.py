@@ -547,4 +547,4 @@ class TestMixerWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8192 + (ITERATION_BUFFER if ansatz == "light_cone" else 0)
+        assert peak <= (8 << 10) + (ITERATION_BUFFER if ansatz == "light_cone" else 0)

@@ -153,6 +153,31 @@ class TestRunSuite:
         for name in names:
             assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
 
+    def test_worker_pool_starts_no_more_processes_than_instances_or_cpus(self, tmp_path, monkeypatch):
+        import concurrent.futures
+        import os
+
+        sizes = []
+
+        class FakePool:
+            # Records the pool size and runs in this process, so no process starts.
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        spec = small_spec(family="erdos_renyi", n_list=(6,), instances_per_n=3, config=RunConfig(rounds=5),
+                          workers=10 ** 6)
+        run_suite(spec, tmp_path)
+        assert sizes == [min(3, os.cpu_count() or 1)]
+
     def test_bipartite_summary_metadata_and_identity(self, tmp_path):
         spec = small_spec(family="bipartite", n_list=(7,), config=RunConfig(rounds=50))
         run_suite(spec, tmp_path)
