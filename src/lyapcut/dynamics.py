@@ -29,6 +29,7 @@ from .certificates import Certificates
 from .graphs import CutOracleResult, Graph, GraphError
 from .hamiltonian import MaxCutHamiltonian, NormBounds, error_constants
 from .statevector import (
+    STATE_CAP_DEFAULT,
     FeedbackTables,
     ObservableTerms,
     StateError,
@@ -75,7 +76,7 @@ class RunConfig:
     adaptive_dt: bool = False
     lightcone_feedback: bool = True
     seed: int = 0
-    state_cap: int = 24
+    state_cap: int = STATE_CAP_DEFAULT
 
     def __post_init__(self) -> None:
         if self.ansatz not in ANSATZE:
@@ -86,6 +87,8 @@ class RunConfig:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 2 <= self.state_cap <= STATE_CAP_DEFAULT:
+            raise ValueError(f"state_cap must be in [2, {STATE_CAP_DEFAULT}], got {self.state_cap}")
 
 
 @dataclass
@@ -170,7 +173,9 @@ class Mixer:
         return Workspace.build(state, self.tables)
 
     def observe(self, state, workspace: Optional[Workspace] = None) -> float:
-        return feedback_observable(state, self.generator, self.h.diag, self.tables, workspace=workspace)
+        if workspace is None:
+            return feedback_observable(state, self.generator, self.h.diag, self.tables)
+        return feedback_observable(state, self.generator, self.h.diag, workspace=workspace)
 
     def apply(self, state, alpha: float, dt: float, workspace: Optional[Workspace] = None) -> None:
         if self.yz_edges is None:

@@ -164,8 +164,11 @@ def test_config_file_unknown_key_names_the_key(tmp_path):
     ("beta", 3, r"beta 3 in .*cfg\.json must be a JSON object$"),
     ("dt", True, r"dt True in .*cfg\.json must be a number$"),
     ("instances_per_n", 0, r"instances_per_n must be >= 1, got 0 in .*cfg\.json$"),
+    ("state_cap", 1, r"^state_cap must be in \[2, 24\], got 1 in .*cfg\.json$"),
+    ("state_cap", 25, r"^state_cap must be in \[2, 24\], got 25 in .*cfg\.json$"),
 ], ids=["ansatz", "family", "adaptive_dt", "lightcone_feedback", "exhaustive_cubic", "rounds_text",
-        "rounds_zero", "n_list_scalar", "n_list_item", "beta_c", "beta_scalar", "dt_bool", "instances_zero"])
+        "rounds_zero", "n_list_scalar", "n_list_item", "beta_c", "beta_scalar", "dt_bool", "instances_zero",
+        "state_cap_below_two", "state_cap_above_the_default"])
 def test_config_file_bad_value_names_key_value_and_choices(tmp_path, key, value, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"family": "regular3", "n_list": [6], "rounds": 5, key: value}))

@@ -502,11 +502,6 @@ class TestMixerFeedbackTables:
             mixer.observe(init_plus(8))
 
 
-# numpy buffers up to 8192 entries of a ufunc over strided views: the RYZ gate's sign
-# multiply and the light cone's pair products take one such complex buffer.
-ITERATION_BUFFER = 8192 * 16
-
-
 class TestMixerWorkspace:
     """A run builds one Workspace on its state buffer and hands it to every kernel call."""
 
@@ -547,4 +542,4 @@ class TestMixerWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (8 << 10) + (ITERATION_BUFFER if ansatz == "light_cone" else 0)
+        assert peak <= 8 << 10

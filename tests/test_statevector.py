@@ -729,7 +729,5 @@ class TestWorkspace:
             apply_ryz(state, 1, 0, 0.2, workspace=ws)
         with pytest.raises(StateError, match="no gate"):
             apply_rx(state, 0, 0.2, workspace=ws)
-        with pytest.raises(StateError, match="built apart"):
-            feedback_observable(state, lc, diag, feedback_tables(lc, diag, n, True), workspace=ws)
         with pytest.raises(StateError, match="another state layout"):
             Workspace.build(init_plus(n), feedback_tables(lc, diag, n, True))
