@@ -29,8 +29,8 @@ Feedback. feedback_observable takes the pure X_j terms of a mixer from one
 e = -i D psi per call, and every other term from a weight table per flipped
 qubit and letter, P = Delta_j * sum c s_S over the pairs of amplitudes that
 differ in bit j. feedback_tables builds the tables once for a run; a table
-then costs copies of the pairs, one product conj(a0) a1 and one contraction
-per call, and no BLAS call.
+then costs one product conj(a0) a1 and one contraction per call, and no
+BLAS call.
 
 Workspace. A run's kernels rebuild nothing per call: Workspace.build makes,
 once per run and state buffer, the strided views every gate and feedback term
@@ -39,13 +39,13 @@ the gates' partner products, e = -i D psi, the pair products, the phases and
 the probabilities of <H_f> share in turn. Every kernel takes it as the
 optional keyword workspace; without one a call builds what it needs and runs
 the same code, so both give the same bits. A workspace of another buffer,
-layout or diagonal raises StateError. Strided amplitudes move only by copies:
-a ufunc over a strided view that numpy cannot walk as one axis takes an
-iteration buffer of up to 8192 entries, so the RX gates below the top qubit,
-the RYZ gates and the feedback's pair products first copy what they read
-into the scratch buffer. RX on qubits 0 and 1 walks its transposed views
-directly; below n = 16, where the walked axis of qubit 1 is shorter than
-8192 entries, that walk takes such a buffer too.
+layout or diagonal raises StateError. A numpy ufunc over a strided view that
+it cannot walk as one axis takes an iteration buffer of up to 8192 entries,
+so RX on every qubit but 0, 1 and the top one of a mirrored state copies
+its partner before it multiplies. The RYZ
+sign multiply and the feedback's pair products still take one such buffer
+(128 KiB) per call: copying their operands as well costs extra passes over
+the state, which made the light-cone round about a quarter slower at n=22.
 """
 
 from __future__ import annotations
@@ -287,40 +287,40 @@ def apply_rzz(state: StateVector, q1: int, q2: int, theta: float) -> StateVector
     return state
 
 
-def _ryz_views(amps: np.ndarray, qy: int, qz: int, top: int, scratch: np.ndarray):
-    """(blocks, staged, terms) of RYZ on (qy, qz).
+# y z over the bits that carry a sign in apply_ryz: the other bit when one of the
+# pair is qubit n-1 of a mirrored state, else (bit hi, bit lo).
+_YZ_SIGNS_TOP = np.array([[-1.0], [1.0]])
+_YZ_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0]).reshape(2, 1, 2, 1)
+_YZ_SIGNS_TOP.flags.writeable = _YZ_SIGNS.flags.writeable = False
 
-    The bits that carry a sign split amps into sign blocks: bit hi and bit lo,
-    or only the other bit when one of the pair is qubit n-1 of a mirrored state.
-    blocks views amps block by block, and staged is scratch in that shape, so
-    each block is one contiguous run of scratch. terms holds, per block, its
-    sign y z, the partner block in scratch (bit qy flipped; reversed when qy is
-    qubit top, whose flip maps x to 2^(n-1)-1-x) and the same run of amps.
+
+def _ryz_views(amps: np.ndarray, qy: int, qz: int, top: int, scratch: np.ndarray):
+    """(partner, product, signs, table, scratch) of RYZ on (qy, qz): the call copies partner
+    into product, a view of scratch in the partner's shape, multiplies it by the
+    complex table whose real part it sets to signs * sin, then adds scratch to
+    amps. The copy spares the multiply one of numpy's iteration buffers.
+
+    The partner is the amplitude at bit qy flipped, in a shape with one axis per bit
+    that carries a sign.
     """
     if top in (qy, qz):
-        shape, axes, signs = (-1, 2, 1 << (qz if qy == top else qy)), (1, 0, 2), (-1.0, 1.0)
-        flip = 1
+        shape, signs = (-1, 2, 1 << (qz if qy == top else qy)), _YZ_SIGNS_TOP
+        partner = _partner(amps, qy, top).reshape(shape)
     else:
         hi, lo = max(qy, qz), min(qy, qz)
-        shape, axes, signs = (-1, 2, 1 << (hi - lo - 1), 2, 1 << lo), (1, 3, 0, 2, 4), (-1.0, 1.0, 1.0, -1.0)
-        flip = 2 if qy == hi else 1
-    blocks = amps.reshape(shape).transpose(axes)
-    runs, free = scratch.reshape(len(signs), -1), amps.reshape(len(signs), -1)
-    step = -1 if qy == top else 1
-    terms = tuple((sign, runs[k ^ flip][::step], free[k]) for k, sign in enumerate(signs))
-    return blocks, scratch.reshape(blocks.shape), terms
+        shape, signs = (-1, 2, 1 << (hi - lo - 1), 2, 1 << lo), _YZ_SIGNS
+        flip = (slice(None), slice(None, None, -1)) if qy == hi else (slice(None),) * 3 + (slice(None, None, -1),)
+        partner = amps.reshape(shape)[flip]
+    return partner, scratch.reshape(shape), signs, np.zeros(signs.shape, dtype=np.complex128), scratch
 
 
 def apply_ryz(state: StateVector, qy: int, qz: int, theta: float, *, workspace: Workspace | None = None) -> StateVector:
     """exp(-i theta Y Z) with Y on qy and Z on qz: a <- c a + s y z a', with a' the
     amplitude at bit qy flipped, y = -1 / +1 on bit qy = 0 / 1 and z = (-1)^(bit qz).
 
-    Bit n-1 of a mirrored state is 0, so y = -1 when qy = n-1 and z = +1 when
-    qz = n-1: only the other bit carries a sign, and y z is [-1, 1] over it
-    either way. The call copies amps into scratch sign block by sign block, so
-    every product runs over contiguous blocks and takes no numpy iteration
-    buffer: amps, free after the copy, takes s y z a' block by block, scratch
-    becomes c a + s y z a', and the blocks are copied back into place.
+    The sign table is complex so that the multiply needs no cast. Bit n-1 of a
+    mirrored state is 0, so y = -1 when qy = n-1 and z = +1 when qz = n-1: only
+    the other bit carries a sign, and y z is [-1, 1] over it either way.
     workspace is a Workspace of this state; without one the call builds its views
     and a scratch buffer of the stored size for itself.
     """
@@ -330,18 +330,15 @@ def apply_ryz(state: StateVector, qy: int, qz: int, theta: float, *, workspace: 
         raise StateError("ryz needs two distinct qubits")
     h = state.amplitudes
     if workspace is None:
-        scratch = np.empty_like(h)
-        blocks, staged, terms = _ryz_views(h, qy, qz, _mirror_top(state), scratch)
+        partner, product, signs, table, scratch = _ryz_views(h, qy, qz, _mirror_top(state), np.empty_like(h))
     else:
-        scratch = workspace.scratch
-        blocks, staged, terms = _gate(workspace, state, workspace.ryz, (qy, qz))
+        partner, product, signs, table, scratch = _gate(workspace, state, workspace.ryz, (qy, qz))
     c, s = math.cos(theta), math.sin(theta)
-    staged[...] = blocks
-    for sign, partner, out in terms:
-        np.multiply(partner, sign * s, out=out)
-    scratch *= c
-    scratch += h
-    blocks[...] = staged
+    product[...] = partner
+    np.multiply(signs, s, out=table.real)
+    product *= table
+    h *= c
+    h += scratch
     return state
 
 
@@ -460,15 +457,12 @@ def _walk(view: np.ndarray, j: int) -> np.ndarray:
 
 
 def _pair_views(amps: np.ndarray, scratch: np.ndarray, j: int, top: int):
-    """(a0, a1, p0, p1, weighted) views of the amplitude pairs that differ in bit j: a0
-    and a1 in walk order, then C-ordered views of scratch that take copies of a0 and a1,
-    and, over p1 once conj(a0) a1 is in p0, its real or imaginary part times the
-    weight table. A product over the strided a0 and a1 would take numpy's iteration
-    buffers; over the copies it takes none."""
+    """(a0, a1, product, weighted) views of the amplitude pairs that differ in bit j: a0
+    and a1 in walk order, then C-ordered views of scratch for conj(a0) a1 and for its
+    real or imaginary part times the weight table. scratch needs 3/4 of the stored size."""
     a0, a1 = (_walk(view, j) for view in _pairs(amps, j, top))
     count = a0.size
-    p0, p1 = scratch[: 2 * count].reshape(2, *a0.shape)
-    return a0, a1, p0, p1, scratch[count:].view(np.float64)[:count].reshape(a0.shape)
+    return a0, a1, scratch[:count].reshape(a0.shape), scratch[count:].view(np.float64)[:count].reshape(a0.shape)
 
 
 def _minus_i_d_psi(amps: np.ndarray, half: np.ndarray, e: np.ndarray) -> None:
@@ -483,9 +477,8 @@ def _minus_i_d_psi(amps: np.ndarray, half: np.ndarray, e: np.ndarray) -> None:
 class Workspace:
     """What the kernels reuse across the rounds of one run on one state buffer.
 
-    scratch is one buffer of the stored size. RX writes its partner product
-    there, RYZ its staged copy of the state, feedback_observable its
-    e = -i D psi or the copies and products of its amplitude pairs,
+    scratch is one buffer of the stored size. The gates write their partner
+    product there, feedback_observable its e = -i D psi or its pair products,
     the phase layer its phases and expectation_diagonal its probabilities; no
     two calls overlap in time, so one buffer serves them all. rx, ryz, pure,
     weighted and gather hold the views each kernel walks, built on amplitudes
@@ -572,30 +565,27 @@ def _add_z_string(values: np.ndarray, c, z_bits: tuple[int, ...]) -> None:
     view += signs
 
 
-def _weight_table(half: np.ndarray, j: int, top: int, terms, work: np.ndarray) -> np.ndarray:
+def _weight_table(half: np.ndarray, j: int, top: int, terms) -> np.ndarray:
     """P = Delta_j * sum over terms of c * s_S, read-only, over the pair index of a flip of qubit j.
 
     half is the diagonal over the stored amplitudes, Delta_j = D|bit j=1 - D|bit j=0
     and s_S the sign of the term's Z string. The table is laid out in the order
     _pair_views walks the pairs. It is exact and as narrow as its range
     allows (int8 where |P| <= 127) when D and every coefficient are integers, and
-    float64 otherwise. work is a buffer of at least as many 8-byte entries as
-    half has, which holds Delta_j and the sum of signs while the table is built.
+    float64 otherwise.
     """
     d0, d1 = _pairs(half, j, top)
     exact = np.issubdtype(half.dtype, np.integer) and all(float(c).is_integer() for c, _ in terms)
     kind = np.int64 if exact else np.float64
-    table, weights = work.view(kind)[: 2 * d0.size].reshape(2, -1)
-    table = table.reshape(d0.shape)
-    np.subtract(d1, d0, out=table, dtype=kind)
-    weights[...] = 0
+    table = np.subtract(d1, d0, dtype=kind)
+    weights = np.zeros(table.size, dtype=kind)
     for c, z_bits in terms:
         _add_z_string(weights, int(c) if exact else c, z_bits)
     table *= weights.reshape(table.shape)
     if exact:
         bound = max(int(table.max()), -int(table.min()))
         kind = next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
-    table = np.array(_walk(table, j), dtype=kind, order="C")
+    table = np.ascontiguousarray(_walk(table, j), dtype=kind)
     table.flags.writeable = False
     return table
 
@@ -618,10 +608,10 @@ class FeedbackTables:
     weighted: tuple[tuple[int, str, np.ndarray], ...]
 
 
-def _split(mixer: ObservableTerms, diag, n: int, mirrored: bool, work: np.ndarray):
+def _split(mixer: ObservableTerms, diag, n: int, mirrored: bool):
     """Check mixer and diag against the layout; return the diagonal over the stored
     amplitudes, the pure X_j sums, and a generator of the weight tables, built one
-    at a time in work (see _weight_table).
+    at a time.
 
     Bit n-2 of a mirrored pair index is qubit n-1 for j < n-1, and qubit n-2 on
     the lower quarter for j = n-1: a Z there is +1 either way, so it is dropped.
@@ -647,7 +637,7 @@ def _split(mixer: ObservableTerms, diag, n: int, mirrored: bool, work: np.ndarra
             pure.append((j, c_pure))
         if paired:
             groups.append((j, letter, paired))
-    return half, tuple(pure), ((j, letter, _weight_table(half, j, top, terms, work)) for j, letter, terms in groups)
+    return half, tuple(pure), ((j, letter, _weight_table(half, j, top, terms)) for j, letter, terms in groups)
 
 
 def feedback_tables(mixer: ObservableTerms, diag: np.ndarray, n_qubits: int, mirrored: bool) -> FeedbackTables:
@@ -661,8 +651,7 @@ def feedback_tables(mixer: ObservableTerms, diag: np.ndarray, n_qubits: int, mir
     coefficient is not an integer. Build them once per run and pass them to
     every call.
     """
-    work = np.empty(1 << (n_qubits - mirrored), dtype=np.float64)
-    _, pure, weighted = _split(mixer, diag, n_qubits, mirrored, work)
+    _, pure, weighted = _split(mixer, diag, n_qubits, mirrored)
     return FeedbackTables(mixer, diag, n_qubits, mirrored, pure, tuple(weighted))
 
 
@@ -678,16 +667,15 @@ def feedback_observable(state: StateVector, mixer: ObservableTerms, diag: np.nda
     - every other term flips one qubit j: over the amplitude pairs (a0, a1)
       that differ in bit j, the Y terms on j give +2 sum P Re(conj(a0) a1) and
       the X terms -2 sum P Im(conj(a0) a1), with P the weight table of j and
-      the letter (see feedback_tables). Per table that is copies of a0 and a1,
-      one product of half the stored size and one contraction with the table.
+      the letter (see feedback_tables). Per table that is one product of
+      half the stored size and one contraction with the table.
     - Pure-Z terms commute with D and give 0.
 
     workspace is a Workspace of this state, whose tables, views and scratch
     buffer the call uses. Without one, the call reads tables, which are
     feedback_tables(mixer, diag, n, mirrored) of this state's layout, or
     builds them for itself one at a time when tables is None, and builds its
-    views and a scratch buffer of the stored size; tables is not read when a
-    workspace is given.
+    views and a scratch buffer; tables is not read when a workspace is given.
     A term that flips two or more qubits raises StateError, and so does, on a
     mirrored state, a term that anticommutes with the global flip.
     On a mirrored state every sum counts twice, for the mirror image, and a Z
@@ -696,31 +684,28 @@ def feedback_observable(state: StateVector, mixer: ObservableTerms, diag: np.nda
     amps, n, top = state.amplitudes, state.n_qubits, _mirror_top(state)
     if workspace is not None:
         tables = _bound(workspace, state).tables
-    scratch = np.empty_like(amps) if workspace is None else workspace.scratch
     if tables is None:
-        # Each table is built in scratch before its pair products use it.
-        half, pure, weighted = _split(mixer, diag, n, state.mirrored, scratch.view(np.float64))
+        half, pure, weighted = _split(mixer, diag, n, state.mirrored)
     elif tables.mixer is mixer and tables.diag is diag and (tables.n_qubits, tables.mirrored) == (n, state.mirrored):
         half, pure, weighted = diag[: amps.size], tables.pure, tables.weighted
     else:
         raise StateError("feedback tables were built for another mixer, diagonal or state layout")
     if workspace is None:
+        scratch = np.empty(amps.size if pure else amps.size - amps.size // 4, dtype=np.complex128)
         pure = tuple((c, *_pure_views(amps, scratch, j, top)) for j, c in pure)
         weighted = ((letter, table, *_pair_views(amps, scratch, j, top)) for j, letter, table in weighted)
     else:
-        pure, weighted = workspace.pure, workspace.weighted
+        scratch, pure, weighted = workspace.scratch, workspace.pure, workspace.weighted
     mirror_scale = 2.0 if state.mirrored else 1.0
     total = 0.0
     if pure:
         _minus_i_d_psi(amps, half, scratch)
         for c, p, e in pure:
             total -= 2.0 * mirror_scale * c * float(np.einsum("ijk,ijk->", p, e, order="C"))
-    for letter, table, a0, a1, p0, p1, part in weighted:
-        p0[...] = a0
-        p1[...] = a1
-        np.conjugate(p0, out=p0)
-        p0 *= p1
+    for letter, table, a0, a1, product, part in weighted:
+        np.conjugate(a0, out=product, order="C")
+        product *= a1
         part[...] = table
-        part *= p0.real if letter == "Y" else p0.imag
+        part *= product.real if letter == "Y" else product.imag
         total += (2.0 if letter == "Y" else -2.0) * mirror_scale * float(part.sum())
     return float(total + 0.0)
