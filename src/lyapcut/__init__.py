@@ -56,6 +56,7 @@ from .statevector import (
     apply_rx,
     apply_ryz,
     apply_rzz,
+    apply_yz_layer,
     expectation_diagonal,
     expectation_pauli,
     feedback_observable,

@@ -36,7 +36,7 @@ from .statevector import (
     Workspace,
     apply_diagonal_phase,
     apply_rx,
-    apply_ryz,
+    apply_yz_layer,
     expectation_diagonal,
     feedback_observable,
     feedback_tables,
@@ -183,8 +183,7 @@ class Mixer:
             for j in range(self.h.n):
                 apply_rx(state, j, alpha * dt, workspace=workspace)
         else:
-            for j, k in self.yz_edges:
-                apply_ryz(state, j, k, alpha * dt, workspace=workspace)
+            apply_yz_layer(state, self.yz_edges, alpha * dt, workspace=workspace)
 
     def norm_bounds(self, alpha: float) -> NormBounds:
         eta = [1.0 / self.h.m] * self.h.m if self.yz_edges is None else []

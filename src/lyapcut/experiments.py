@@ -10,6 +10,7 @@ result in grid order as it finishes; every result file is written atomically
 from __future__ import annotations
 
 import dataclasses
+import html
 import json
 import math
 import os
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, get_type_hints
-from xml.sax.saxutils import escape
 
 from .dynamics import RunConfig, StepTrace, run_light_cone, run_qaoa_feedback
 from .graphs import (
@@ -390,7 +390,7 @@ def emit_plot(series: Sequence[PlotSeries], path) -> Path:
     csv_lines = ["series,x,y"]
     for s in series:
         for x, y in zip(s.xs, s.ys):
-            csv_lines.append(f"{escape(s.label)},{_fmt(float(x))},{_fmt(float(y))}")
+            csv_lines.append(f"{html.escape(s.label, quote=False)},{_fmt(float(x))},{_fmt(float(y))}")
     atomic_write(path.with_suffix(".csv"), "\n".join(csv_lines) + "\n")
 
     points = [[(math.log10(x), math.log10(y)) for x, y in zip(s.xs, s.ys)] for s in series]
@@ -451,7 +451,7 @@ def emit_plot(series: Sequence[PlotSeries], path) -> Path:
         color = _PALETTE[si % len(_PALETTE)]
         parts.append(f'<rect x="{_ML + 10}" y="{legend_y - 9 + si * 16}" width="10" height="10" fill="{color}"/>')
         parts.append(
-            f'<text x="{_ML + 25}" y="{legend_y + si * 16}" font-size="11">{escape(s.label)}</text>'
+            f'<text x="{_ML + 25}" y="{legend_y + si * 16}" font-size="11">{html.escape(s.label, quote=False)}</text>'
         )
     parts.append("</svg>")
     atomic_write(path, "\n".join(parts) + "\n")

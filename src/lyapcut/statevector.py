@@ -21,6 +21,9 @@ h. On a mirrored state:
 - a diagonal table is still passed as the full 2^n table and must be
   complement-symmetric, diag == diag[::-1]; the kernels read diag[:2^(n-1)].
   Every cut table is, because a cut does not change when all sides swap;
+- apply_yz_layer may store, inside one call, the half with another qubit at
+  0 instead, when a head sits on the qubit left out; it restores the h layout
+  before it returns;
 - a mixer term that anticommutes with X^n (an odd number of Y and Z
   letters) and apply_rzz raise StateError; expectation_pauli works on the
   rebuilt full state.
@@ -34,18 +37,21 @@ BLAS call.
 
 Workspace. A run's kernels rebuild nothing per call: Workspace.build makes,
 once per run and state buffer, the strided views every gate and feedback term
-walks, the phase level table, and one scratch buffer of the stored size that
-the gates' partner products, e = -i D psi, the pair products, the phases and
-the probabilities of <H_f> share in turn. Every kernel takes it as the
-optional keyword workspace; without one a call builds what it needs and runs
+walks, the light-cone layer's per-head copies and rotations, the phase level
+table, and one scratch buffer of the stored size that RX's partner
+products, the light-cone layer, e = -i D psi, the pair products, the phases
+and the probabilities of <H_f> share in turn. Every kernel but the single
+gates apply_ryz and apply_rzz takes it as the optional keyword workspace;
+without one a call builds what it needs and runs
 the same code, so both give the same bits. A workspace of another buffer,
 layout or diagonal raises StateError. A numpy ufunc over a strided view that
 it cannot walk as one axis takes an iteration buffer of up to 8192 entries,
 so RX on every qubit but 0, 1 and the top one of a mirrored state copies
-its partner before it multiplies. The RYZ
-sign multiply and the feedback's pair products still take one such buffer
-(128 KiB) per call: copying their operands as well costs extra passes over
-the state, which made the light-cone round about a quarter slower at n=22.
+its partner before it multiplies, and the light-cone layer moves each head's
+bits to the top with one assignment copy into the other buffer, after which
+every ufunc walks contiguous blocks. The feedback's pair products still take
+one such buffer (128 KiB) per call: copying their operands as well costs
+extra passes over the state.
 """
 
 from __future__ import annotations
@@ -314,31 +320,167 @@ def _ryz_views(amps: np.ndarray, qy: int, qz: int, top: int, scratch: np.ndarray
     return partner, scratch.reshape(shape), signs, np.zeros(signs.shape, dtype=np.complex128), scratch
 
 
-def apply_ryz(state: StateVector, qy: int, qz: int, theta: float, *, workspace: Workspace | None = None) -> StateVector:
+def _check_pair(state: StateVector, qy: int, qz: int) -> None:
+    _check_qubit(state, qy)
+    _check_qubit(state, qz)
+    if qy == qz:
+        raise StateError("ryz needs two distinct qubits")
+
+
+def apply_ryz(state: StateVector, qy: int, qz: int, theta: float) -> StateVector:
     """exp(-i theta Y Z) with Y on qy and Z on qz: a <- c a + s y z a', with a' the
     amplitude at bit qy flipped, y = -1 / +1 on bit qy = 0 / 1 and z = (-1)^(bit qz).
 
     The sign table is complex so that the multiply needs no cast. Bit n-1 of a
     mirrored state is 0, so y = -1 when qy = n-1 and z = +1 when qz = n-1: only
-    the other bit carries a sign, and y z is [-1, 1] over it either way.
-    workspace is a Workspace of this state; without one the call builds its views
-    and a scratch buffer of the stored size for itself.
+    the other bit carries a sign, and y z is [-1, 1] over it either way. The call
+    builds its views and a scratch buffer of the stored size; a run's light-cone
+    layer goes through apply_yz_layer instead.
     """
-    _check_qubit(state, qy)
-    _check_qubit(state, qz)
-    if qy == qz:
-        raise StateError("ryz needs two distinct qubits")
+    _check_pair(state, qy, qz)
     h = state.amplitudes
-    if workspace is None:
-        partner, product, signs, table, scratch = _ryz_views(h, qy, qz, _mirror_top(state), np.empty_like(h))
-    else:
-        partner, product, signs, table, scratch = _gate(workspace, state, workspace.ryz, (qy, qz))
+    partner, product, signs, table, scratch = _ryz_views(h, qy, qz, _mirror_top(state), np.empty_like(h))
     c, s = math.cos(theta), math.sin(theta)
     product[...] = partner
     np.multiply(signs, s, out=table.real)
     product *= table
     h *= c
     h += scratch
+    return state
+
+
+def _head_runs(edges) -> list[tuple[int, list[int]]]:
+    """The oriented edges (j, k) as runs of consecutive edges with one head j, in order."""
+    runs: list[tuple[int, list[int]]] = []
+    for j, k in edges:
+        if runs and runs[-1][0] == j:
+            runs[-1][1].append(k)
+        else:
+            runs.append((j, [k]))
+    return runs
+
+
+def _relayout(src: np.ndarray, src_layout, dst: np.ndarray, dst_layout) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(destination, source) view pairs whose assignment copies src, stored in src_layout,
+    into dst, stored in dst_layout.
+
+    A layout (mirror, order) stores the amplitudes psi(x) with bit mirror = 0 (None for
+    a full state), indexed by the bits of order, most significant first. Bits that
+    are adjacent and in the same order in both layouts share one axis. A copy that
+    moves the mirror bit from m to m2 splits on them: psi(m2=0, m=1, y) = psi(m2=1,
+    m=0, ~y), so the m=1 half reads the m2=1 half with every axis reversed.
+    """
+    (m, order), (m2, order2) = src_layout, dst_layout
+    # The source axis of each destination bit; m in the destination is m2 in the source.
+    pos = [order.index(m2 if b == m else b) for b in order2]
+    split = order2.index(m) if m != m2 else None
+    groups: list[list[int]] = []
+    for i, p in enumerate(pos):
+        if groups and p == pos[i - 1] + 1 and split not in (i - 1, i):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    by_source = sorted(range(len(groups)), key=lambda g: pos[groups[g][0]])
+    d = dst.reshape([1 << len(group) for group in groups])
+    s = src.reshape([1 << len(groups[g]) for g in by_source]).transpose(np.argsort(by_source))
+    if split is None:
+        return [(d, s)]
+    axis = groups.index([split])
+    pairs = []
+    for bit in (0, 1):
+        index = (slice(None),) * axis + (slice(bit, bit + 1),)
+        part = s[index]
+        if bit:
+            part = part[(slice(None, None, -1),) * part.ndim]
+        pairs.append((d[index], part))
+    return pairs
+
+
+def _yz_layer(amps: np.ndarray, scratch: np.ndarray, edges, n: int, mirrored: bool):
+    """The views of apply_yz_layer on amps and scratch: (edges, heads, final).
+
+    heads holds per run of one head j with tails K: the copies of amps into scratch in
+    a layout with the bits of K, then j, most significant; the tail weight W of each
+    tail pattern, as a column; buffers for cos and sin of theta W; and float views of
+    the bit-j = 0 and 1 blocks in scratch, then in amps. final holds the copies back
+    to amps in the canonical layout.
+    """
+    layout = canonical = (n - 1 if mirrored else None, tuple(range(n - 1 - mirrored, -1, -1)))
+    heads, shared = [], {}
+    for j, tails in _head_runs(edges):
+        m, order = layout
+        # A head on the mirror bit hands that role to one of its tails.
+        m2 = tails[0] if j == m else m
+        keys = [b for b in order if b in tails and b != m2]
+        order2 = tuple(keys + [j] + [b for b in order if b not in keys and b not in (j, m2)])
+        copies = tuple(_relayout(amps, layout, scratch, (m2, order2)))
+        layout = (m2, order2)
+        # z = +1 on the mirror bit, which is 0 in every stored amplitude.
+        p = np.arange(1 << len(keys))[:, None]
+        weight = np.full(p.shape, float(tails.count(m2)))
+        for shift, k in enumerate(reversed(keys)):
+            weight += tails.count(k) * (1.0 - 2.0 * ((p >> shift) & 1))
+        # Heads run one at a time, so heads with as many patterns share the block
+        # views and the cos and sin columns.
+        if p.size not in shared:
+            a, b = (x.view(np.float64).reshape(p.size, 2, -1) for x in (amps, scratch))
+            shared[p.size] = (np.empty(p.shape), np.empty(p.shape), b[:, 0], b[:, 1], a[:, 0], a[:, 1])
+        heads.append((copies, weight, *shared[p.size]))
+    final = tuple(_relayout(scratch, layout, amps, canonical)) if heads else ()
+    return tuple(map(tuple, edges)), tuple(heads), final
+
+
+def apply_yz_layer(state: StateVector, edges, theta: float, *, workspace: Workspace | None = None) -> StateVector:
+    """exp(-i theta Y_j Z_k) for every oriented edge (j, k) of edges, in order.
+
+    Gates that share a head j commute, so a run of consecutive edges with head j and
+    tails K is one rotation of each bit-j pair by theta W, with W = sum over K of
+    z_k: (a0, a1) <- (c a0 - s a1, s a0 + c a1). Per run, one assignment copies the
+    state into the other buffer with the bits of K, then j, most significant, and six
+    contiguous ufunc calls rotate the two bit-j blocks of every tail pattern by its
+    angle and write them back into the state's buffer; the last run rotates in place,
+    with the state's buffer as temporaries, and one more copy restores the canonical
+    layout. On a mirrored state the mirror bit is the one left out of the stored
+    amplitudes, at first qubit n-1: a tail on it adds +1 to W, and a head on it hands
+    the role to one of its tails, which the copies do by reading one half reversed.
+    The result agrees with the gates one at a time (apply_ryz) up to rounding.
+
+    workspace is a Workspace of this state whose mixer's YZ terms are these edges;
+    its scratch buffer is the other buffer. Without one the call builds its views and
+    a scratch buffer of the stored size for itself.
+    """
+    if workspace is None:
+        for qy, qz in edges:
+            _check_pair(state, qy, qz)
+        h = state.amplitudes
+        layer = _yz_layer(h, np.empty_like(h), edges, state.n_qubits, state.mirrored)
+    else:
+        layer = _bound(workspace, state).yz
+        if layer is None or layer[0] != tuple(map(tuple, edges)):
+            raise StateError("workspace has no layer on these edges; its mixer has other YZ terms")
+    _, heads, final = layer
+    for i, (copies, weight, c, s, u0, u1, v0, v1) in enumerate(heads):
+        for dst, src in copies:
+            dst[...] = src
+        np.multiply(weight, theta, out=c)
+        np.sin(c, out=s)
+        np.cos(c, out=c)
+        if i == len(heads) - 1:
+            np.multiply(u0, s, out=v0)
+            np.multiply(u1, s, out=v1)
+            u0 *= c
+            u1 *= c
+            u0 -= v1
+            u1 += v0
+        else:
+            np.multiply(u0, c, out=v0)
+            np.multiply(u1, c, out=v1)
+            u0 *= s
+            u1 *= s
+            v0 -= u1
+            v1 += u0
+    for dst, src in final:
+        dst[...] = src
     return state
 
 
@@ -479,13 +621,15 @@ class Workspace:
 
     scratch is one buffer of the stored size. The gates write their partner
     product there, feedback_observable its e = -i D psi or its pair products,
-    the phase layer its phases and expectation_diagonal its probabilities; no
-    two calls overlap in time, so one buffer serves them all. rx, ryz, pure,
-    weighted and gather hold the views each kernel walks, built on amplitudes
-    and scratch: an RX view per X_j term and an RYZ view per Y_j Z_k term of
-    the tables' mixer, the feedback's views per table, and the phase gather's.
-    levels is the phase level table of the tables' diagonal, None when it is
-    not a nonnegative integer table.
+    the phase layer its phases and expectation_diagonal its probabilities, and
+    apply_yz_layer uses it as its second buffer; no two calls overlap in time,
+    so one buffer serves them all. rx, yz, pure, weighted and gather hold the
+    views each kernel walks, built on amplitudes and scratch: an RX view per
+    X_j term of the tables' mixer, apply_yz_layer's per-head copies and
+    rotations over its Y_j Z_k terms in order (None when it has none), the
+    feedback's views per table, and the phase gather's. levels is the phase
+    level table of the tables' diagonal, None when it is not a nonnegative
+    integer table.
 
     A kernel given a workspace of another buffer, layout or diagonal raises
     StateError. Build one with Workspace.build once per run.
@@ -497,7 +641,7 @@ class Workspace:
     levels: np.ndarray | None
     gather: tuple
     rx: dict
-    ryz: dict
+    yz: tuple | None
     pure: tuple
     weighted: tuple
 
@@ -509,14 +653,13 @@ class Workspace:
         amps, top = state.amplitudes, _mirror_top(state)
         half = _diag_for(tables.diag, state.n_qubits, state.mirrored)
         scratch = np.empty_like(amps)
-        rx, ryz = {}, {}
+        rx, edges = {}, []
         for term in tables.mixer.terms:
             qubit_of = {p: q for q, p in term.ops}
             if len(term.ops) == 1 and "X" in qubit_of:
                 rx[qubit_of["X"]] = _rx_views(amps, qubit_of["X"], top, scratch)
             elif len(term.ops) == 2 and qubit_of.keys() == {"Y", "Z"}:
-                key = (qubit_of["Y"], qubit_of["Z"])
-                ryz[key] = _ryz_views(amps, *key, top, scratch)
+                edges.append((qubit_of["Y"], qubit_of["Z"]))
         return cls(
             amplitudes=amps,
             tables=tables,
@@ -524,7 +667,7 @@ class Workspace:
             levels=_levels(half),
             gather=_gather_plan(amps, half, scratch),
             rx=rx,
-            ryz=ryz,
+            yz=_yz_layer(amps, scratch, edges, state.n_qubits, state.mirrored) if edges else None,
             pure=tuple((c, *_pure_views(amps, scratch, j, top)) for j, c in tables.pure),
             weighted=tuple((letter, table, *_pair_views(amps, scratch, j, top))
                            for j, letter, table in tables.weighted),
@@ -554,9 +697,10 @@ def _add_z_string(values: np.ndarray, c, z_bits: tuple[int, ...]) -> None:
     """values[y] += c * prod over k in z_bits (ascending) of (-1)^(bit k of y), in place.
 
     values is viewed with one axis of length 2 per bit in z_bits, and a 2 x .. x 2
-    sign table broadcasts over the rest, so nothing of the values' size is allocated.
+    sign table of values' dtype broadcasts over the rest, so nothing of the
+    values' size is allocated.
     """
-    shape, signs, low = (), np.array(c), 0
+    shape, signs, low = (), np.array(c, dtype=values.dtype), 0
     for k in z_bits:
         shape = (2, 1 << (k - low)) + shape
         signs = np.multiply.outer(_Z_SIGNS.astype(signs.dtype), signs)
@@ -565,27 +709,35 @@ def _add_z_string(values: np.ndarray, c, z_bits: tuple[int, ...]) -> None:
     view += signs
 
 
-def _weight_table(half: np.ndarray, j: int, top: int, terms) -> np.ndarray:
+def _narrowest(bound: int):
+    """The narrowest signed integer type that holds every value in [-bound, bound]."""
+    return next((t for t in (np.int8, np.int16, np.int32) if bound <= np.iinfo(t).max), np.int64)
+
+
+def _weight_table(half: np.ndarray, j: int, top: int, terms, work: np.ndarray, kind) -> np.ndarray:
     """P = Delta_j * sum over terms of c * s_S, read-only, over the pair index of a flip of qubit j.
 
     half is the diagonal over the stored amplitudes, Delta_j = D|bit j=1 - D|bit j=0
     and s_S the sign of the term's Z string. The table is laid out in the order
     _pair_views walks the pairs. It is exact and as narrow as its range
     allows (int8 where |P| <= 127) when D and every coefficient are integers, and
-    float64 otherwise.
+    float64 otherwise. It is built in kind (see _weight_tables) in two rows of
+    work, then narrowed; the diagonal halves go in by assignment, which casts
+    without numpy's iteration buffers.
     """
     d0, d1 = _pairs(half, j, top)
-    exact = np.issubdtype(half.dtype, np.integer) and all(float(c).is_integer() for c, _ in terms)
-    kind = np.int64 if exact else np.float64
-    table = np.subtract(d1, d0, dtype=kind)
-    weights = np.zeros(table.size, dtype=kind)
+    table, weights = (row[: d0.size * np.dtype(kind).itemsize].view(kind) for row in work)
+    table, low = table.reshape(d0.shape), weights.reshape(d0.shape)
+    table[...] = d1
+    low[...] = d0
+    table -= low
+    weights[...] = 0
     for c, z_bits in terms:
-        _add_z_string(weights, int(c) if exact else c, z_bits)
-    table *= weights.reshape(table.shape)
-    if exact:
-        bound = max(int(table.max()), -int(table.min()))
-        kind = next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
-    table = np.ascontiguousarray(_walk(table, j), dtype=kind)
+        _add_z_string(weights, c, z_bits)
+    table *= low
+    if kind != np.float64:
+        kind = _narrowest(max(int(table.max()), -int(table.min())))
+    table = np.array(_walk(table, j), dtype=kind, order="C")
     table.flags.writeable = False
     return table
 
@@ -637,7 +789,26 @@ def _split(mixer: ObservableTerms, diag, n: int, mirrored: bool):
             pure.append((j, c_pure))
         if paired:
             groups.append((j, letter, paired))
-    return half, tuple(pure), ((j, letter, _weight_table(half, j, top, terms)) for j, letter, terms in groups)
+    return half, tuple(pure), _weight_tables(half, top, groups)
+
+
+def _weight_tables(half: np.ndarray, top: int, groups):
+    """(j, letter, table) per group, built one at a time in one work buffer of two rows.
+
+    A group whose diagonal and coefficients are integers is built in the narrowest
+    integer type that holds max |D| and spread(D) * sum |c|, bounds on every value it
+    takes, and any other group in float64; a row holds the pair count in the widest
+    of them.
+    """
+    exact = np.issubdtype(half.dtype, np.integer)
+    lo, hi = (int(half.min()), int(half.max())) if exact else (0, 0)
+    kinds = [_narrowest(max(-lo, hi, (hi - lo) * sum(abs(int(c)) for c, _ in terms)))
+             if exact and all(float(c).is_integer() for c, _ in terms) else np.float64
+             for _, _, terms in groups]
+    width = max((np.dtype(kind).itemsize for kind in kinds), default=0)
+    work = np.empty((2, width * (half.size // 2)), dtype=np.uint8)
+    for (j, letter, terms), kind in zip(groups, kinds):
+        yield j, letter, _weight_table(half, j, top, terms, work, kind)
 
 
 def feedback_tables(mixer: ObservableTerms, diag: np.ndarray, n_qubits: int, mirrored: bool) -> FeedbackTables:

@@ -25,12 +25,15 @@ from lyapcut.dynamics import (
 )
 from lyapcut import dynamics
 from lyapcut.hamiltonian import commutator_terms
+from lyapcut import statevector as sv
 from lyapcut.statevector import (
+    ObservableTerms,
     StateError,
     StateVector,
     Workspace,
     expectation_pauli,
     feedback_observable,
+    feedback_tables,
     init_plus,
     sum_x,
     sum_yz,
@@ -328,7 +331,8 @@ def counting(monkeypatch, name):
 
 class TestRoundLoopKernels:
     @pytest.mark.parametrize("adaptive_dt", [False, True], ids=["fixed_dt", "adaptive_dt"])
-    @pytest.mark.parametrize("runner, mixer_kernel", [(run_qaoa_feedback, "apply_rx"), (run_light_cone, "apply_ryz")])
+    @pytest.mark.parametrize("runner, mixer_kernel", [(run_qaoa_feedback, "apply_rx"),
+                                                      (run_light_cone, "apply_yz_layer")])
     def test_kernel_calls_per_round(self, monkeypatch, cubic10, runner, mixer_kernel, adaptive_dt):
         # The benchmark times these kernels through the names the round loop calls.
         g, h, oracle = cubic10
@@ -341,7 +345,8 @@ class TestRoundLoopKernels:
                         observer=lambda p, hf, one, two: seen.append(hf))
         assert len(energies) == 7 + 1
         assert len(feedbacks) == 7 + 1
-        gates_per_round = g.n if mixer_kernel == "apply_rx" else len(bfs_order(g).oriented_edges)
+        # n RX gates a round; the light cone's whole YZ row is one call.
+        gates_per_round = g.n if mixer_kernel == "apply_rx" else 1
         assert len(gates) == 7 * gates_per_round
         assert len(norm_bounds) == (7 if adaptive_dt else 0)
         assert seen == [h.m / 2] + [tr.hf_exp for tr in traces]
@@ -434,6 +439,33 @@ ORIENTATIONS = {
 }
 
 
+def wide_groups(mixer, n):
+    """The Z-string terms per flipped qubit and letter, with the Z on qubit n-1 (pair bit n-2) dropped."""
+    groups = {}
+    for (j, letter), group in mixer._single_flips.items():
+        groups[j, letter] = [(c, z[:-1] if z and z[-1] == n - 2 else z) for c, z in group]
+    return groups
+
+
+def wide_table(half, j, top, terms):
+    """A weight table built in int64 (float64 for a float diagonal or coefficient), then narrowed."""
+    d0, d1 = sv._pairs(half, j, top)
+    exact = np.issubdtype(half.dtype, np.integer) and all(float(c).is_integer() for c, _ in terms)
+    kind = np.int64 if exact else np.float64
+    table = np.subtract(d1, d0, dtype=kind)
+    weights = np.zeros(table.size, dtype=kind)
+    for c, z_bits in terms:
+        signs = np.ones(table.size, dtype=kind)
+        for k in z_bits:
+            signs[(np.arange(table.size) >> k) & 1 == 1] *= -1
+        weights += (int(c) if exact else c) * signs
+    table = table * weights.reshape(table.shape)
+    if exact:
+        bound = max(int(table.max()), -int(table.min()))
+        kind = next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+    return np.ascontiguousarray(sv._walk(table, j), dtype=kind)
+
+
 class TestMixerFeedbackTables:
     """The light cone's feedback reads per-head weight tables that its Mixer builds once per run."""
 
@@ -496,6 +528,38 @@ class TestMixerFeedbackTables:
         assert all(table.dtype == np.int8 and not table.flags.writeable for table in tables)
         assert sum(table.nbytes for table in tables) <= len(heads) << (n - 2)
 
+    @pytest.mark.parametrize("n", range(8, 17))
+    def test_tables_equal_a_wide_build(self, n):
+        # The tables are built in the narrowest exact type; a plain int64 (float64) build
+        # followed by the same narrowing must give the same dtype and bytes.
+        g = gen_random_regular(n + n % 2, 3, seed=n) if n % 2 == 0 else gen_erdos_renyi(n, 0.5, seed=n)
+        edges = bfs_order(g).oriented_edges
+        h = build_maxcut(g)
+        weighted = [(0.3, {j: "Y", k: "Z"}) for j, k in edges]
+        cases = [(sum_yz(edges), h.diag), (sum_yz(edges), h.diag.astype(np.int64) - 40),
+                 (sum_yz(edges), h.diag * 0.5), (ObservableTerms.from_pairs(weighted), h.diag)]
+        for mixer, diag in cases:
+            tables = feedback_tables(mixer, diag, g.n, True)
+            half, top = diag[: 1 << (g.n - 1)], g.n - 1
+            groups = {(j, letter): terms for (j, letter), terms in wide_groups(mixer, g.n).items()}
+            assert [(j, letter) for j, letter, _ in tables.weighted] == list(groups)
+            for j, letter, table in tables.weighted:
+                expect = wide_table(half, j, top, groups[j, letter])
+                assert table.dtype == expect.dtype and np.array_equal(table, expect)
+
+    def test_building_the_tables_allocates_little_beyond_them(self):
+        mixer = light_cone_mixer(gen_random_regular(16, 3, seed=1))
+        mixer.h.diag
+        mixer.generator._single_flips
+        tracemalloc.start()
+        try:
+            tables = mixer.tables
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(table.nbytes for _, _, table in tables.weighted)
+        assert kept == len(tables.weighted) << 14 and peak - kept <= 64 << 10
+
     def test_tables_of_another_layout_are_refused(self):
         mixer = light_cone_mixer(gen_random_regular(8, 3, seed=1))
         with pytest.raises(StateError, match="another mixer, diagonal or state layout"):
@@ -509,7 +573,8 @@ class TestMixerWorkspace:
     def test_every_kernel_call_of_a_run_gets_the_one_workspace(self, monkeypatch, cubic10, runner):
         g, h, oracle = cubic10
         seen = []
-        for name in ("apply_rx", "apply_ryz", "apply_diagonal_phase", "feedback_observable", "expectation_diagonal"):
+        for name in ("apply_rx", "apply_yz_layer", "apply_diagonal_phase", "feedback_observable",
+                     "expectation_diagonal"):
             original = getattr(dynamics, name)
 
             def wrapper(state, *args, original=original, **kwargs):
@@ -524,10 +589,23 @@ class TestMixerWorkspace:
         assert isinstance(workspace, Workspace) and workspace.amplitudes is buffer
 
     @pytest.mark.parametrize("n", [16, 18])
+    def test_a_light_cone_layer_after_the_first_allocates_no_state_sized_temporary(self, n):
+        mixer = light_cone_mixer(gen_random_regular(n, 3, seed=1))
+        state = init_plus(n, mirrored=True)
+        workspace = mixer.workspace(state)
+        mixer.apply(state, 0.3, 0.08, workspace)
+        tracemalloc.start()
+        try:
+            mixer.apply(state, 0.3, 0.08, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 10
+
+    @pytest.mark.parametrize("n", [16, 18])
     @pytest.mark.parametrize("ansatz", ["qaoa_feedback", pytest.param("light_cone", marks=pytest.mark.xfail(
-        strict=True, reason="the RYZ sign multiply and the feedback pair products take one 128 KiB numpy "
-                            "iteration buffer per call; copying their operands instead cost a quarter of "
-                            "the light-cone round time at n=22 (CHANGES.md FOUND)"))])
+        strict=True, reason="the feedback pair products (conj(a0) and *= a1 over strided pair views) take "
+                            "one 128 KiB numpy iteration buffer per call (CHANGES.md FOUND)"))])
     def test_a_round_after_the_first_allocates_no_state_sized_temporary(self, ansatz, n):
         # The smallest state-sized temporary, half the stored amplitudes as float64, is
         # 128 KiB at n=16 and 512 KiB at n=18; the bounds do not grow with n.

@@ -348,6 +348,14 @@ class TestEmitPlot:
         assert text.count("<polyline") == 4
         ET.parse(path)
 
+    def test_label_markup_is_escaped_in_svg_and_csv(self, tmp_path):
+        label = """a & b < c > d "e" 'f'"""
+        escaped = """a &amp; b &lt; c &gt; d "e" 'f'"""
+        path = emit_plot([PlotSeries(label, (1.0, 10.0), (2.0, 20.0), "line")], tmp_path / "m.svg")
+        assert f'font-size="11">{escaped}</text>' in path.read_text()
+        assert label in [node.text for node in ET.parse(path).getroot().iter() if node.tag.endswith("text")]
+        assert (tmp_path / "m.csv").read_text().splitlines()[1:] == [f"{escaped},1.0,2.0", f"{escaped},10.0,20.0"]
+
     def test_deterministic_bytes(self, tmp_path):
         series = [PlotSeries("s", (1.0, 10.0), (2.0, 20.0), "line")]
         p1 = emit_plot(series, tmp_path / "a.svg")

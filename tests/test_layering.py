@@ -1,9 +1,13 @@
 """Modules of the package import only each other's public names, the round
 loop reaches the certificates only through Certificates, the statevector
 kernels make no BLAS call, and the kernel and round-loop modules keep no
-mutable state at module level."""
+mutable state at module level. Importing the package loads no network or
+mail module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -112,3 +116,14 @@ def test_detector_flags_mutable_globals():
     namespace = {"CACHE": {}, "ROWS": [], "SEEN": set(), "TABLE": np.zeros(2), "SIGNS": frozen,
                  "NAMES": ("a",), "KINDS": frozenset("b"), "__builtins__": {}}
     assert mutable_globals(namespace) == ["CACHE", "ROWS", "SEEN", "TABLE"]
+
+
+# Modules that xml.sax.saxutils drags in through urllib; none serves a simulation.
+HEAVY_MODULES = ("urllib.request", "http.client", "ssl", "email")
+
+
+def test_importing_the_package_loads_no_network_or_mail_module():
+    code = f"import sys, lyapcut; print(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)})
+    assert result.stdout.strip() == "[]"

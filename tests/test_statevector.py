@@ -12,6 +12,7 @@ from lyapcut.statevector import (
     apply_rx,
     apply_ryz,
     apply_rzz,
+    apply_yz_layer,
     expectation_diagonal,
     expectation_pauli,
     feedback_observable,
@@ -637,6 +638,13 @@ class TestMirroredState:
         assert abs(expectation_pauli(s, ObservableTerms.from_pairs(pairs)) - expect) < 1e-10
 
 
+def dense_layer(n, edges, theta, vec):
+    """vec after the dense exp(-i theta Y_j Z_k) of every edge, first edge first."""
+    for j, k in edges:
+        vec = dense.dense_ryz(n, j, k, theta) @ vec
+    return vec
+
+
 def workspace_cases(n, rng):
     """A cut table, the same table shifted to negative levels, and a float diagonal, each with
     the transverse field and the BFS-oriented light cone of one random connected graph."""
@@ -645,7 +653,7 @@ def workspace_cases(n, rng):
     cut = naive_cut_table(n, edges).astype(np.uint16)
     for diag in (cut, cut.astype(np.int64) - 3, symmetric_float_diag(n, rng)):
         yield diag, [(1.0, {j: "X"}) for j in range(n)], [("rx", (j,)) for j in range(n)]
-        yield diag, [(1.0, {j: "Y", k: "Z"}) for j, k in oriented], [("ryz", e) for e in oriented]
+        yield diag, [(1.0, {j: "Y", k: "Z"}) for j, k in oriented], [("yz", oriented)]
 
 
 class TestWorkspace:
@@ -681,9 +689,9 @@ class TestWorkspace:
                         apply_rx(bare, *qubits, theta)
                         apply_rx(held, *qubits, theta, workspace=ws)
                     else:
-                        expect = dense.dense_ryz(n, *qubits, theta) @ bare.full()
-                        apply_ryz(bare, *qubits, theta)
-                        apply_ryz(held, *qubits, theta, workspace=ws)
+                        expect = dense_layer(n, qubits, theta, bare.full())
+                        apply_yz_layer(bare, qubits, theta)
+                        apply_yz_layer(held, qubits, theta, workspace=ws)
                     assert np.array_equal(held.amplitudes, bare.amplitudes)
                     assert_mirror_matches(held, expect)
 
@@ -711,7 +719,7 @@ class TestWorkspace:
         ws = Workspace.build(state, feedback_tables(lc, diag, n, True))
         other = state.copy()
         calls = [
-            lambda s: apply_ryz(s, 0, 1, 0.2, workspace=ws),
+            lambda s: apply_yz_layer(s, edges, 0.2, workspace=ws),
             lambda s: apply_rx(s, 0, 0.2, workspace=ws),
             lambda s: apply_diagonal_phase(s, diag, 0.2, workspace=ws),
             lambda s: expectation_diagonal(s, diag, workspace=ws),
@@ -722,12 +730,88 @@ class TestWorkspace:
                 call(other)
         # Same buffer, but read as a full state of n-1 qubits.
         with pytest.raises(StateError, match="another state buffer, layout"):
-            apply_ryz(StateVector(n - 1, state.amplitudes), 0, 1, 0.2, workspace=ws)
+            apply_yz_layer(StateVector(n - 1, state.amplitudes), edges, 0.2, workspace=ws)
         with pytest.raises(StateError, match="diagonal"):
             expectation_diagonal(state, diag.copy(), workspace=ws)
-        with pytest.raises(StateError, match="no gate"):
-            apply_ryz(state, 1, 0, 0.2, workspace=ws)
+        with pytest.raises(StateError, match="no layer"):
+            apply_yz_layer(state, [(1, 0)], 0.2, workspace=ws)
+        with pytest.raises(StateError, match="no layer"):
+            apply_yz_layer(state, edges[::-1], 0.2, workspace=ws)
         with pytest.raises(StateError, match="no gate"):
             apply_rx(state, 0, 0.2, workspace=ws)
         with pytest.raises(StateError, match="another state layout"):
             Workspace.build(init_plus(n), feedback_tables(lc, diag, n, True))
+
+
+def yz_layer_cases(n, rng):
+    """Oriented edge lists on n qubits: BFS orientations of a random connected graph and of a
+    dense Erdos-Renyi graph, qubit n-1 as a head with 1-3 tails and as a tail only, a head
+    that comes back after another head, and a repeated edge."""
+    top = n - 1
+    yield "bfs", bfs_order(Graph.from_edges(n, connected_edges(n, rng))).oriented_edges
+    if n >= 3:
+        yield "erdos_renyi", bfs_order(gen_erdos_renyi(n, 0.7, seed=int(rng.integers(1 << 20)))).oriented_edges
+    for tails in range(1, min(3, top) + 1):
+        yield f"top_head_{tails}", [(0, top)] * (top > 1) + [(top, k) for k in range(tails)] + [(0, 1)] * (top > 1)
+    yield "top_tail", [(j, top) for j in range(top)] + [(0, j) for j in range(1, top)]
+    if n >= 3:
+        yield "head_returns", [(0, 1), (0, 2), (1, 2), (0, top)]
+        yield "repeated_edge", [(1, 0), (1, 0), (1, top), (top, 0)]
+
+
+class TestYZLayer:
+    """apply_yz_layer, one rotation per run of one head, matches the gates one at a time."""
+
+    @pytest.mark.parametrize("mirrored", [True, False], ids=["mirrored", "full"])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_sequential_gates_and_dense(self, n, mirrored):
+        rng = np.random.default_rng(500 + n + 20 * mirrored)
+        for name, edges in yz_layer_cases(n, rng):
+            state = random_mirrored(n, rng) if mirrored else random_sv(n, rng)
+            gates, vec = state.copy(), state.full()
+            theta = float(rng.uniform(-1.5, 1.5))
+            for j, k in edges:
+                apply_ryz(gates, j, k, theta)
+            apply_yz_layer(state, edges, theta)
+            assert np.max(np.abs(state.amplitudes - gates.amplitudes)) <= 1e-12, name
+            assert np.max(np.abs(state.full() - dense_layer(n, edges, theta, vec))) < 1e-10, name
+
+    @pytest.mark.parametrize("mirrored", [True, False], ids=["mirrored", "full"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_workspace_gives_equal_bits(self, n, mirrored):
+        rng = np.random.default_rng(600 + n + 20 * mirrored)
+        for name, edges in yz_layer_cases(n, rng):
+            mixer = sum_yz(edges)
+            diag = naive_cut_table(n, sorted({(min(e), max(e)) for e in edges}))
+            bare = random_mirrored(n, rng) if mirrored else random_sv(n, rng)
+            held = bare.copy()
+            ws = Workspace.build(held, feedback_tables(mixer, diag, n, mirrored))
+            for _ in range(3):
+                theta = float(rng.uniform(-1.5, 1.5))
+                apply_yz_layer(bare, edges, theta)
+                apply_yz_layer(held, list(map(list, edges)), theta, workspace=ws)
+                assert np.array_equal(held.amplitudes, bare.amplitudes), name
+
+    def test_workspace_of_another_buffer_or_mixer_is_refused(self):
+        n = 6
+        rng = np.random.default_rng(610)
+        edges = [(0, 1), (0, 5), (5, 2), (2, 3), (3, 4)]
+        diag = naive_cut_table(n, [(0, 1), (0, 5), (2, 5), (2, 3), (3, 4)])
+        state = random_mirrored(n, rng)
+        ws = Workspace.build(state, feedback_tables(sum_yz(edges), diag, n, True))
+        with pytest.raises(StateError, match="another state buffer"):
+            apply_yz_layer(state.copy(), edges, 0.2, workspace=ws)
+        transverse = Workspace.build(state, feedback_tables(sum_x(n), diag, n, True))
+        with pytest.raises(StateError, match="no layer"):
+            apply_yz_layer(state, edges, 0.2, workspace=transverse)
+
+    @pytest.mark.parametrize("edges", [[(0, 0)], [(0, 4)], [(-1, 0)]])
+    def test_bad_edges_are_refused(self, edges):
+        with pytest.raises(StateError):
+            apply_yz_layer(init_plus(4, mirrored=True), edges, 0.1)
+
+    def test_no_edges_is_the_identity(self):
+        state = random_mirrored(5, np.random.default_rng(620))
+        before = state.amplitudes.copy()
+        apply_yz_layer(state, [], 0.4)
+        assert np.array_equal(state.amplitudes, before)
