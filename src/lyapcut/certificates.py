@@ -11,6 +11,21 @@ lower-bound argument, so it is never folded in silently: the increment is
 clamped to zero and the violation counted. A non-positive c means the bound
 collapsed; Certificates, the per-run owner of both trackers, then freezes the
 two-parameter tracker at its last valid value.
+
+Exact identities, measured on the round loop's own values. In a run on m
+edges with Certificates, write h_p = <H_f>/m after round p, g_k for the
+clamped gain of round k and r_k = dH_k - g_k, dH_k the change of <H_f> in
+round k. Then
+
+    lambda_p = h_p - 1/2 - (1/m) sum_k r_k,
+    y_p / x_p = 2 h_p - 1 - (2 / (m x_p)) sum_k x_k r_k,
+
+x_k the x after round k, the second up to the round the tracker freezes.
+Both hold to 1e-12 on both ansaetze, at fixed and adaptive dt, with clamps
+and through a freeze (tests/test_certificates.py). So with vanishing
+remainders the bounds tend to h - 1/2 and 2h - 1, both below h, which is a
+lower bound itself since OPT <= m; a bound rises above h only through
+negative remainders.
 """
 
 from __future__ import annotations

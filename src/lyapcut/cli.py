@@ -257,10 +257,10 @@ def _cmd_oracle(args) -> int:
     g = _resolve_graph(args.graph)
     try:
         res = brute_force_max_cut(g)
-    except GraphError as err:  # above the oracle cap
+    except GraphError as err:  # above the state cap
         raise SystemExit(f"lyapcut oracle --graph {args.graph}: {err}") from None
     print(f"optimum {res.optimum}")
-    print(f"maximizer {res.bitstrings(g.n)[0]}")
+    print(f"maximizer {format(res.maximizers[0], f'0{g.n}b')[::-1]}")
     return 0
 
 

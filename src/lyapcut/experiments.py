@@ -33,6 +33,7 @@ from .graphs import (
     make_graph,
 )
 from .hamiltonian import build_maxcut
+from .statevector import cap_message
 
 _PARSE = {int: int, float: float, bool: lambda s: s == "1", Optional[float]: lambda s: float(s) if s else None}
 # (CSV column, StepTrace field, parser) for every trace column after graph_id,n,m, in StepTrace
@@ -299,7 +300,7 @@ def convergence_experiment(spec: SuiteSpec, targets: Iterable[float]) -> list[Co
     targets = convergence_targets(targets)
     over = [n for n in spec.n_list if n > spec.config.state_cap]
     if over:
-        raise ValueError(f"n={over[0]} in n_list is above state cap {spec.config.state_cap}")
+        raise ValueError(f"n_list: {cap_message(over[0], spec.config.state_cap)}")
     records = []
     for graph_id, g, _, traces in _solve_each(spec, list(suite_instances(spec)), stop_at_true_ratio=targets[-1]):
         for target in targets:

@@ -17,11 +17,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-DEFAULT_ORACLE_CAP = 24
+from .statevector import STATE_CAP_DEFAULT, cap_message
+
 MAX_GENERATION_ATTEMPTS = 10_000
 FAMILIES = ("regular3", "erdos_renyi", "bipartite")
-# Indices per block of cut_table; each block allocates an 8-byte index per entry.
-CUT_TABLE_BLOCK = 1 << 20
 
 # Connected cubic graph counts up to isomorphism; enumerate_cubic supports exactly these sizes.
 CONNECTED_CUBIC_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19}
@@ -267,23 +266,23 @@ def make_graph(family: str, n: int, seed: int, p: float = 0.5, degree: int = 3) 
 
 def cut_table(g: Graph) -> np.ndarray:
     """Cut value of every basis index as uint16, length 2^n; bit j of an index
-    is the side of vertex j. Filled CUT_TABLE_BLOCK indices at a time by
-    edge-mask popcount parity, so no full-length index array is built."""
-    size = 1 << g.n
-    table = np.zeros(size, dtype=np.uint16)
-    masks = [np.uint64((1 << u) | (1 << v)) for u, v in g.edges]
-    for start in range(0, size, CUT_TABLE_BLOCK):
-        idx = np.arange(start, min(start + CUT_TABLE_BLOCK, size), dtype=np.uint64)
-        block = table[start:start + idx.size]
-        for mask in masks:
-            block += np.bitwise_count(idx & mask) & 1
+    is the side of vertex j. Built in place by vertex doubling: for x < 2^k,
+    T(x + 2^k) = T(x) + deg(k) - 2 #{w < k adjacent to k : bit w of x is 1},
+    since moving vertex k to side 1 cuts its edges but those to lower
+    neighbours already on side 1. No value wraps: T(x) counts each of those."""
+    table = np.zeros(1 << g.n, dtype=np.uint16)
+    for k, neighbours in enumerate(g.adjacency):
+        block = np.add(table[:1 << k], len(neighbours), out=table[1 << k:2 << k])
+        for w in neighbours:
+            if w < k:
+                block.reshape(-1, 2, 1 << w)[:, 1] -= 2
     return table
 
 
-def brute_force_max_cut(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> CutOracleResult:
+def brute_force_max_cut(g: Graph, cap: int = STATE_CAP_DEFAULT) -> CutOracleResult:
     """Exhaustive optimum and every maximizer, read off the full cut table."""
     if g.n > cap:
-        raise GraphError(f"oracle capped at n={cap}, got n={g.n}")
+        raise GraphError(cap_message(g.n, cap))
     return CutOracleResult.from_table(cut_table(g))
 
 

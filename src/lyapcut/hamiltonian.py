@@ -14,9 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Graph, GraphError, cut_table
-from .statevector import ObservableTerms, PauliTerm
-
-HAMILTONIAN_CAP_DEFAULT = 24
+from .statevector import STATE_CAP_DEFAULT, ObservableTerms, PauliTerm, cap_message
 
 
 @dataclass(frozen=True)
@@ -52,10 +50,10 @@ class NormBounds:
     C: float
 
 
-def build_maxcut(g: Graph, cap: int = HAMILTONIAN_CAP_DEFAULT) -> MaxCutHamiltonian:
+def build_maxcut(g: Graph, cap: int = STATE_CAP_DEFAULT) -> MaxCutHamiltonian:
     """Wrap the per-basis cut table of g."""
     if g.n > cap:
-        raise GraphError(f"hamiltonian capped at n={cap}, got n={g.n}")
+        raise GraphError(cap_message(g.n, cap))
     return MaxCutHamiltonian(graph=g, diag=cut_table(g), m=g.m)
 
 

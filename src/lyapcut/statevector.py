@@ -62,6 +62,7 @@ from functools import cached_property
 
 import numpy as np
 
+# The largest n of a state, and of the cut tables that the Hamiltonian and the oracle build.
 STATE_CAP_DEFAULT = 24
 
 # Z on one qubit, broadcast over the (high, bit, low) view of its halves.
@@ -71,6 +72,11 @@ _Z_SIGNS.flags.writeable = False
 
 class StateError(ValueError):
     """Bad qubit index, dimension mismatch, or cap violation."""
+
+
+def cap_message(n: int, cap: int) -> str:
+    """The one wording of every error for a size above its cap."""
+    return f"n={n} is above state cap {cap}"
 
 
 @dataclass
@@ -179,8 +185,10 @@ def sum_yz(oriented_edges) -> ObservableTerms:
 
 def init_plus(n: int, cap: int = STATE_CAP_DEFAULT, mirrored: bool = False) -> StateVector:
     """Uniform superposition: every amplitude equals 2^(-n/2)."""
-    if not 1 + mirrored <= n <= cap:
-        raise StateError(f"need {1 + mirrored} <= n <= {cap}, got n={n}")
+    if n > cap:
+        raise StateError(cap_message(n, cap))
+    if n < 1 + mirrored:
+        raise StateError(f"need n >= {1 + mirrored}, got n={n}")
     amp = np.full(1 << (n - mirrored), 2.0 ** (-n / 2), dtype=np.complex128)
     return StateVector(n_qubits=n, amplitudes=amp, mirrored=mirrored)
 

@@ -13,7 +13,8 @@ from lyapcut.certificates import (
     two_param_lower_bound,
     two_param_step,
 )
-from lyapcut.graphs import Graph
+from lyapcut.dynamics import BetaParams, RunConfig, run_light_cone, run_qaoa_feedback
+from lyapcut.graphs import Graph, gen_erdos_renyi, gen_random_regular
 from lyapcut.hamiltonian import NormBounds, build_maxcut, error_constants
 
 # Single-edge worked example, frozen from direct evaluation of the update rules
@@ -185,6 +186,63 @@ class TestCertificates:
         certs = Certificates(self.M)
         vacuous = NormBounds(0, 0, 0, A=0.0, B=0.0, C=0.0)
         assert certs.step_size(vacuous, 1e-3, 0.05, alpha=1.0, o=1.0, hf=1.5) == 0.05
+
+
+def identity_residuals(runner, g, cfg):
+    """Run g and check the certificates' exact identities on every round from the observer and the trace.
+
+    With h_p = <H_f>/m after round p, g_k the clamped gain max(alpha O dt, 0) and r_k = dH_k - g_k:
+    lambda_p = h_p - 1/2 - (1/m) sum r_k, and, up to the freeze round, y_p/x_p = 2 h_p - 1 -
+    (2/(m x_p)) sum x_k r_k. Returns the worst residual of each, the clamp count and the freeze round."""
+    seen = []
+    traces = runner(g, build_maxcut(g), cfg,
+                    observer=lambda p, hf, one, two: seen.append((hf, one.lam, two.x, two.y, two.frozen)))
+    m = g.m
+    sum_r = sum_xr = t_prev = worst_one = worst_two = 0.0
+    clamps, freeze = 0, None
+    for p, tr in enumerate(traces, 1):
+        gain = tr.alpha * tr.O * (tr.t - t_prev)
+        t_prev = tr.t
+        clamps += gain < 0
+        hf, lam, x, y, frozen = seen[p]
+        r = hf - seen[p - 1][0] - max(gain, 0.0)
+        sum_r += r
+        sum_xr += x * r
+        h_p = hf / m
+        worst_one = max(worst_one, abs(lam - (h_p - 0.5 - sum_r / m)))
+        if frozen and freeze is None:
+            freeze = p
+        if freeze is None:
+            worst_two = max(worst_two, abs(y / x - (2 * h_p - 1 - 2 / (m * x) * sum_xr)))
+    return worst_one, worst_two, clamps, freeze
+
+
+CUBIC10 = gen_random_regular(10, 3, seed=1)
+ER10 = gen_erdos_renyi(10, 0.5, seed=2)
+K2 = gen_erdos_renyi(2, 1.0, seed=0)
+FREEZE = dict(dt=0.1, rounds=12, beta=BetaParams(c=20))
+
+
+class TestExactIdentities:
+    """Both bounds follow from <H_f> and the per-round remainders alone, to rounding: with clamps, where
+    the clamped gain enters r_k, and through a freeze, after which the two-parameter bound holds."""
+
+    @pytest.mark.parametrize("runner, g, cfg, clamped, freeze", [
+        (run_qaoa_feedback, CUBIC10, RunConfig(rounds=300), False, None),
+        (run_qaoa_feedback, ER10, RunConfig(rounds=60, adaptive_dt=True), False, None),
+        (run_light_cone, CUBIC10, RunConfig(ansatz="light_cone", rounds=30), False, None),
+        (run_light_cone, ER10, RunConfig(ansatz="light_cone", rounds=20, adaptive_dt=True), False, None),
+        (run_light_cone, CUBIC10, RunConfig(ansatz="light_cone", rounds=100, lightcone_feedback=False,
+                                            beta=BetaParams(c=0.5)), True, None),
+        (run_qaoa_feedback, K2, RunConfig(**FREEZE), False, 8),
+        (run_light_cone, K2, RunConfig(ansatz="light_cone", **FREEZE), False, 1),
+    ], ids=["qaoa_fixed", "qaoa_adaptive", "light_cone_fixed", "light_cone_adaptive", "light_cone_clamps",
+            "qaoa_freeze", "light_cone_freeze"])
+    def test_bounds_equal_their_identities(self, runner, g, cfg, clamped, freeze):
+        worst_one, worst_two, clamps, frozen_at = identity_residuals(runner, g, cfg)
+        assert (clamps > 0, frozen_at) == (clamped, freeze)
+        assert worst_one <= 1e-12
+        assert worst_two <= 1e-12
 
 
 class TestMaxStepSize:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 
@@ -7,7 +8,7 @@ from lyapcut import cli, experiments
 from lyapcut.cli import main
 from lyapcut.dynamics import BetaParams, RunConfig
 from lyapcut.experiments import SuiteSpec
-from lyapcut.graphs import Graph
+from lyapcut.graphs import Graph, brute_force_max_cut, make_graph
 
 
 def test_gen_then_oracle_round_trip(tmp_path, capsys):
@@ -20,6 +21,18 @@ def test_gen_then_oracle_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "optimum 4" in out
     assert "maximizer" in out
+
+
+@pytest.mark.parametrize("g, maximizers, lines", [
+    (Graph.from_edges(6, itertools.combinations(range(6), 2)), 20, "optimum 9\nmaximizer 111000\n"),
+    (make_graph("erdos_renyi", 9, seed=2), 6, "optimum 13\nmaximizer 011110000\n"),
+], ids=["complete6", "erdos_renyi9"])
+def test_oracle_prints_the_optimum_and_the_first_of_several_maximizers(tmp_path, capsys, g, maximizers, lines):
+    assert len(brute_force_max_cut(g).maximizers) == maximizers
+    path = tmp_path / "g.txt"
+    path.write_text(g.to_text())
+    assert main(["oracle", "--graph", str(path)]) == 0
+    assert capsys.readouterr().out == lines
 
 
 def test_run_command_writes_trace_and_summary(tmp_path, capsys):
@@ -381,7 +394,7 @@ def test_convergence_size_above_state_cap_names_size_cap_and_file(tmp_path, monk
     monkeypatch.setattr(experiments, "solve_instance", lambda *args, **kwargs: pytest.fail("ran an instance"))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n_list": [6, 26], "rounds": 5}))
-    with pytest.raises(SystemExit, match=rf"^n=26 in n_list is above state cap {RunConfig.state_cap} in .*cfg\.json$"):
+    with pytest.raises(SystemExit, match=rf"^n_list: n=26 is above state cap {RunConfig.state_cap} in .*cfg\.json$"):
         main(["convergence", "--config", str(cfg_path), "--out", str(tmp_path / "conv")])
     assert not (tmp_path / "conv").exists()
 
@@ -408,8 +421,8 @@ TWO_EDGES_APART = Graph.from_edges(4, [(0, 1), (2, 3)]).to_text()
     ("g.json", '{"n": 3}', "run", r"graph file {path}: no 'edges' key$"),
     ("g.json", '{"n": 3, "edges": [[0, 1]', "oracle", r"graph file {path}: Expecting ',' delimiter"),
     ("g.txt", "3 2\n0 1\n1 5\n", "run", r"graph file {path}: bad edge \(1, 5\) for n=3"),
-    ("path25.txt", PATH_25, "oracle", r"^lyapcut oracle --graph {path}: oracle capped at n=24, got n=25$"),
-    ("path25.txt", PATH_25, "run", r"^lyapcut run --graph {path}: hamiltonian capped at n=24, got n=25$"),
+    ("path25.txt", PATH_25, "oracle", r"^lyapcut oracle --graph {path}: n=25 is above state cap 24$"),
+    ("path25.txt", PATH_25, "run", r"^lyapcut run --graph {path}: n=25 is above state cap 24$"),
     ("apart.txt", TWO_EDGES_APART, "lightcone", r"^lyapcut run --graph {path}: graph is disconnected"),
 ], ids=["edge_count", "token", "three_numbers", "json_no_edges", "bad_json", "edge_range", "oracle_cap",
         "run_cap", "lightcone_disconnected"])

@@ -253,7 +253,7 @@ class TestConvergence:
     def test_size_above_state_cap_refused_before_any_run(self, runner_calls):
         _, calls = runner_calls
         spec = small_spec(family="erdos_renyi", n_list=(6, 8), config=RunConfig(rounds=5, state_cap=6))
-        with pytest.raises(ValueError, match=r"^n=8 in n_list is above state cap 6$"):
+        with pytest.raises(ValueError, match=r"^n_list: n=8 is above state cap 6$"):
             convergence_experiment(spec, targets=[0.5])
         assert calls == []
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import pytest
 
@@ -22,6 +23,7 @@ from lyapcut.graphs import (
     make_graph,
 )
 from lyapcut.hamiltonian import build_maxcut
+from lyapcut.statevector import STATE_CAP_DEFAULT, init_plus
 
 
 def naive_max_cut(g):
@@ -206,20 +208,53 @@ class TestOracle:
             assert (res.optimum == g.m) == two_colorable(g)
 
     def test_cap_enforced(self, k4):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"^n=4 is above state cap 3$"):
             brute_force_max_cut(k4, cap=3)
 
+    def test_every_cap_error_has_one_wording(self):
+        path = Graph.from_edges(25, [(i, i + 1) for i in range(24)])
+        for call in (lambda: brute_force_max_cut(path), lambda: build_maxcut(path),
+                     lambda: init_plus(25), lambda: init_plus(25, mirrored=True)):
+            with pytest.raises(ValueError, match=rf"^n=25 is above state cap {STATE_CAP_DEFAULT}$"):
+                call()
+
     def test_bitstrings_use_vertex_order(self):
-        res = CutOracleResult(optimum=1, maximizers=(1,))
-        assert res.bitstrings(3) == ("100",)
+        res = CutOracleResult(optimum=1, maximizers=(1, 6))
+        assert res.bitstrings(3) == ("100", "011")
+
+
+def family_sizes(sizes):
+    """The (family, n) pairs that make_graph takes, over the given sizes."""
+    pairs = []
+    for family, n in itertools.product(FAMILIES, sizes):
+        try:
+            graphs.check_family(family, n)
+        except GraphError:
+            continue
+        pairs.append((family, n))
+    return pairs
+
+
+def hand_built_graphs():
+    """Paths, stars centred on the first and on the last vertex, complete graphs up to n=10, and graphs
+    whose every edge touches the last vertex while some vertices have no edge."""
+    cases = {}
+    for n in range(2, 13):
+        cases[f"path{n}"] = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        cases[f"star_first{n}"] = Graph.from_edges(n, [(0, j) for j in range(1, n)])
+        cases[f"star_last{n}"] = Graph.from_edges(n, [(j, n - 1) for j in range(n - 1)])
+        cases[f"to_last{n}"] = Graph.from_edges(n, [(j, n - 1) for j in range(0, n - 1, 2)])
+        if n <= 10:
+            cases[f"complete{n}"] = Graph.from_edges(n, itertools.combinations(range(n), 2))
+    return cases
+
+
+HAND_BUILT = hand_built_graphs()
 
 
 class TestCutTable:
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_blocks_agree_with_naive_count(self, monkeypatch, family):
-        # 2^8 indices over 16 blocks of 2^4: every block boundary is crossed.
-        monkeypatch.setattr(graphs, "CUT_TABLE_BLOCK", 1 << 4)
-        g = make_graph(family, 8, seed=3)
+    @staticmethod
+    def check_against_naive_count(g):
         naive = [sum(1 for u, v in g.edges if ((x >> u) & 1) != ((x >> v) & 1)) for x in range(1 << g.n)]
         table = cut_table(g)
         assert table.dtype.name == "uint16"
@@ -229,6 +264,25 @@ class TestCutTable:
         res = brute_force_max_cut(g)
         assert res.optimum == best
         assert res.maximizers == tuple(x for x, c in enumerate(naive) if c == best)
+
+    @pytest.mark.parametrize("family, n", family_sizes(range(2, 13)))
+    def test_families_agree_with_naive_count(self, family, n):
+        self.check_against_naive_count(make_graph(family, n, seed=3))
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built_graphs_agree_with_naive_count(self, name):
+        self.check_against_naive_count(HAND_BUILT[name])
+
+    def test_peak_memory_is_the_table(self):
+        g = gen_random_regular(20, 3, seed=1)
+        cut_table(g)  # adjacency and numpy's first-call state, outside the measured call
+        tracemalloc.start()
+        try:
+            table = cut_table(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= table.nbytes + (64 << 10)
 
 
 class TestMakeGraph:
