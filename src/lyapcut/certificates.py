@@ -200,35 +200,3 @@ def potential_value(hf_exp: float, optimum: float, tracker) -> float:
         return tracker.x * hf_exp - tracker.y * optimum
     raise TypeError(f"unsupported tracker type {type(tracker)!r}")
 
-
-def trapezoidal_bounds(traces, m: int, dt: float) -> tuple[float, float]:
-    """Diagnostic: trapezoidal integration of the continuous certificate formulas.
-
-    Uses the per-step integrand f = beta O^2 / <Q> sampled at the left step
-    endpoints recorded in a trace (the final endpoint is not recorded, so the
-    last interval is left out; the comparison stays first order in dt). The
-    two-parameter path uses <Q> = m - <H_f> with a = b = 1 and running
-    trapezoids for x(s) inside the y integral.
-    """
-    if not traces:
-        return 0.0, 0.0
-    f_one = []
-    f_two = []
-    hf_prev = m / 2.0
-    for row in traces:
-        num = row.beta * row.O * row.O
-        f_one.append(num / m)
-        q_two = m - hf_prev
-        f_two.append(num / q_two if q_two > 0 else 0.0)
-        hf_prev = row.hf_exp
-
-    lam_trap = sum((f_one[i] + f_one[i + 1]) / 2.0 * dt for i in range(len(f_one) - 1))
-
-    # Running exponent integral gives x at each node; then trapezoid x*f for y.
-    exponents = [0.0]
-    for i in range(len(f_two) - 1):
-        exponents.append(exponents[-1] + (f_two[i] + f_two[i + 1]) / 2.0 * dt)
-    xs = [math.exp(e) for e in exponents]
-    y_trap = sum((xs[i] * f_two[i] + xs[i + 1] * f_two[i + 1]) / 2.0 * dt for i in range(len(f_two) - 1))
-    x_final = xs[-1]
-    return lam_trap, y_trap / x_final

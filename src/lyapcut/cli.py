@@ -142,10 +142,10 @@ def _config_from_file(path: str) -> SuiteSpec:
     if not isinstance(raw, dict):
         raise SystemExit(f"{path} must hold a JSON object of config keys, got {type(raw).__name__}")
     _reject_unknown(raw, _CONFIG_KEYS, path)
-    values = {key: _read(raw.get(key, default), kind, key, path)
-              for key, (kind, default) in _CONFIG_KEYS.items() if key in raw or default is not None}
-    # RunConfig and SuiteSpec check ranges and name the field and value.
+    # BetaParams, RunConfig and SuiteSpec check ranges and name the field and value.
     try:
+        values = {key: _read(raw.get(key, default), kind, key, path)
+                  for key, (kind, default) in _CONFIG_KEYS.items() if key in raw or default is not None}
         cfg = RunConfig(**{k: v for k, v in values.items() if k in _RUN_FIELDS})
         spec = SuiteSpec(config=cfg, **{k: v for k, v in values.items() if k not in _RUN_FIELDS})
     except ValueError as err:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional
 
 from .certificates import Certificates
@@ -30,7 +29,6 @@ from .graphs import CutOracleResult, Graph, GraphError
 from .hamiltonian import MaxCutHamiltonian, NormBounds, error_constants
 from .statevector import (
     STATE_CAP_DEFAULT,
-    FeedbackTables,
     ObservableTerms,
     StateError,
     Workspace,
@@ -39,7 +37,6 @@ from .statevector import (
     apply_yz_layer,
     expectation_diagonal,
     feedback_observable,
-    feedback_tables,
     init_plus,
     sum_x,
     sum_yz,
@@ -57,6 +54,13 @@ class BetaParams:
     c: float = 0.04
     floor: float = 0.5
     rate: float = 2.0
+
+    def __post_init__(self) -> None:
+        for name, low, high in (("c", 0.0, math.inf), ("floor", 0.0, 1.0), ("rate", 0.0, math.inf)):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and low <= value <= high):
+                span = f">= {low:g}" if high == math.inf else f"in [{low:g}, {high:g}]"
+                raise ValueError(f"beta {name} must be finite and {span}, got {value}")
 
 
 def beta_schedule(t: float, rounds: int, dt: float, params: BetaParams = BetaParams()) -> float:
@@ -81,12 +85,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.ansatz not in ANSATZE:
             raise ValueError(f"ansatz must be one of {ANSATZE}, got {self.ansatz!r}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if not 2 <= self.state_cap <= STATE_CAP_DEFAULT:
             raise ValueError(f"state_cap must be in [2, {STATE_CAP_DEFAULT}], got {self.state_cap}")
 
@@ -153,11 +157,10 @@ class Mixer:
     increments are clamped by the trackers. Kernels are called through this
     module's names, so rebinding one reaches every call.
 
-    Every mixer has its feedback tables, built on first use for the mirrored
-    states the round loop evolves and kept for the run: the light cone's hold
-    one weight table per BFS head, the transverse field's only its X_j sums.
-    workspace(state) builds the kernels' views and scratch buffer on the run's
-    state buffer; the round loop builds it once and passes it to every call.
+    workspace(state) builds the run's one Workspace on the state buffer: the
+    kernels' views, scratch buffer and feedback tables (one weight table per
+    BFS head for the light cone, only the X_j sums for the transverse field).
+    The round loop builds it once and passes it to every call.
     """
 
     h: MaxCutHamiltonian
@@ -165,16 +168,10 @@ class Mixer:
     feedback: bool = True
     yz_edges: Optional[tuple[tuple[int, int], ...]] = None
 
-    @cached_property
-    def tables(self) -> FeedbackTables:
-        return feedback_tables(self.generator, self.h.diag, self.h.n, True)
-
     def workspace(self, state) -> Workspace:
-        return Workspace.build(state, self.tables)
+        return Workspace.build(state, self.generator, self.h.diag)
 
     def observe(self, state, workspace: Optional[Workspace] = None) -> float:
-        if workspace is None:
-            return feedback_observable(state, self.generator, self.h.diag, self.tables)
         return feedback_observable(state, self.generator, self.h.diag, workspace=workspace)
 
     def apply(self, state, alpha: float, dt: float, workspace: Optional[Workspace] = None) -> None:

@@ -243,7 +243,7 @@ def run_suite(spec: SuiteSpec, output_dir) -> dict:
     skipped = []
     for graph_id, g in suite_instances(spec):
         if g.n > spec.config.state_cap:
-            skipped.append({"graph_id": graph_id, "reason": f"n={g.n} above state cap {spec.config.state_cap}"})
+            skipped.append({"graph_id": graph_id, "reason": cap_message(g.n, spec.config.state_cap)})
         else:
             instances.append((graph_id, g))
 

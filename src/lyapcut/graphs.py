@@ -131,9 +131,6 @@ class CutOracleResult:
         best = int(table.max())
         return cls(optimum=best, maximizers=tuple(int(i) for i in np.flatnonzero(table == best)))
 
-    def bitstrings(self, n: int) -> tuple[str, ...]:
-        return tuple(format(x, f"0{n}b")[::-1] for x in self.maximizers)
-
 
 def load_graph(path: str) -> Graph:
     """Read a graph from either the plain-text or the JSON on-disk format;

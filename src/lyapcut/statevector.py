@@ -31,27 +31,27 @@ h. On a mirrored state:
 Feedback. feedback_observable takes the pure X_j terms of a mixer from one
 e = -i D psi per call, and every other term from a weight table per flipped
 qubit and letter, P = Delta_j * sum c s_S over the pairs of amplitudes that
-differ in bit j. feedback_tables builds the tables once for a run; a table
-then costs one product conj(a0) a1 and one contraction per call, and no
-BLAS call.
+differ in bit j. A run's Workspace holds the tables; a table then costs one
+product conj(a0) a1 and one contraction per call, and no BLAS call.
 
-Workspace. A run's kernels rebuild nothing per call: Workspace.build makes,
-once per run and state buffer, the strided views every gate and feedback term
-walks, the light-cone layer's per-head copies and rotations, the phase level
-table, and one scratch buffer of the stored size that RX's partner
-products, the light-cone layer, e = -i D psi, the pair products, the phases
-and the probabilities of <H_f> share in turn. Every kernel but the single
-gates apply_ryz and apply_rzz takes it as the optional keyword workspace;
-without one a call builds what it needs and runs
-the same code, so both give the same bits. A workspace of another buffer,
-layout or diagonal raises StateError. A numpy ufunc over a strided view that
-it cannot walk as one axis takes an iteration buffer of up to 8192 entries,
-so RX on every qubit but 0, 1 and the top one of a mirrored state copies
-its partner before it multiplies, and the light-cone layer moves each head's
-bits to the top with one assignment copy into the other buffer, after which
-every ufunc walks contiguous blocks. The feedback's pair products still take
-one such buffer (128 KiB) per call: copying their operands as well costs
-extra passes over the state.
+Workspace. A run's kernels rebuild nothing per call: Workspace.build(state,
+mixer, diag) makes, once per run, the feedback's weight tables, the strided
+views every gate and feedback term walks on the state's buffer, the
+light-cone layer's per-head copies and rotations, the phase level table, and
+one scratch buffer of the stored size that RX's partner products, the
+light-cone layer, e = -i D psi, the pair products, the phases and the
+probabilities of <H_f> share in turn. Every kernel but the single gates
+apply_ryz and apply_rzz takes it as the optional keyword workspace; without
+one a call builds what it needs and runs the same code, so both give the
+same bits. A workspace of another buffer, layout, diagonal or mixer raises
+StateError. A numpy ufunc over a strided view that it cannot walk as one
+axis takes an iteration buffer of up to 8192 entries, so RX on every qubit
+but 0, 1 and the top one of a mirrored state copies its partner before it
+multiplies, and the light-cone layer moves each head's bits to the top with
+one assignment copy into the other buffer, after which every ufunc walks
+contiguous blocks. The feedback's pair products still take one such buffer
+(128 KiB) per call: copying their operands as well costs extra passes over
+the state.
 """
 
 from __future__ import annotations
@@ -106,10 +106,6 @@ class StateVector:
         """All 2^n amplitudes, as a new array."""
         h = self.amplitudes
         return np.concatenate((h, h[::-1])) if self.mirrored else h.copy()
-
-    def to_json_list(self) -> list[list[float]]:
-        """Debug dump: index-ordered [re, im] pairs."""
-        return [[float(a.real), float(a.imag)] for a in self.full()]
 
 
 @dataclass(frozen=True)
@@ -625,26 +621,33 @@ def _minus_i_d_psi(amps: np.ndarray, half: np.ndarray, e: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Workspace:
-    """What the kernels reuse across the rounds of one run on one state buffer.
+    """What the kernels reuse across the rounds of one run of one mixer and one
+    diagonal on one state buffer.
 
-    scratch is one buffer of the stored size. The gates write their partner
-    product there, feedback_observable its e = -i D psi or its pair products,
-    the phase layer its phases and expectation_diagonal its probabilities, and
-    apply_yz_layer uses it as its second buffer; no two calls overlap in time,
-    so one buffer serves them all. rx, yz, pure, weighted and gather hold the
-    views each kernel walks, built on amplitudes and scratch: an RX view per
-    X_j term of the tables' mixer, apply_yz_layer's per-head copies and
-    rotations over its Y_j Z_k terms in order (None when it has none), the
-    feedback's views per table, and the phase gather's. levels is the phase
-    level table of the tables' diagonal, None when it is not a nonnegative
-    integer table.
+    mixer and diag are the objects it was built for, and mirrored is the state
+    layout. scratch is one buffer of the stored size. The gates write their
+    partner product there, feedback_observable its e = -i D psi or its pair
+    products, the phase layer its phases and expectation_diagonal its
+    probabilities, and apply_yz_layer uses it as its second buffer; no two
+    calls overlap in time, so one buffer serves them all. rx, yz, pure,
+    weighted and gather hold the views each kernel walks, built on amplitudes
+    and scratch: an RX view per X_j term of the mixer, apply_yz_layer's
+    per-head copies and rotations over its Y_j Z_k terms in order (None when
+    it has none), the feedback's views per term kind, and the phase gather's.
+    pure holds (c, views) per qubit j of the X_j terms without a Z string,
+    with c their summed coefficient; weighted holds (j, letter, table, views)
+    per flipped qubit j and letter of every other term, with table its weight
+    table (see feedback_observable). levels is the phase level table of the
+    diagonal, None when it is not a nonnegative integer table.
 
-    A kernel given a workspace of another buffer, layout or diagonal raises
-    StateError. Build one with Workspace.build once per run.
+    A kernel given a workspace of another buffer, layout, diagonal or mixer
+    raises StateError. Build one with Workspace.build once per run.
     """
 
     amplitudes: np.ndarray
-    tables: FeedbackTables
+    mirrored: bool
+    mixer: ObservableTerms
+    diag: np.ndarray
     scratch: np.ndarray
     levels: np.ndarray | None
     gather: tuple
@@ -654,15 +657,21 @@ class Workspace:
     weighted: tuple
 
     @classmethod
-    def build(cls, state: StateVector, tables: FeedbackTables) -> "Workspace":
-        """The workspace of the kernels on state's buffer, for tables' mixer and diagonal."""
-        if (tables.n_qubits, tables.mirrored) != (state.n_qubits, state.mirrored):
-            raise StateError("feedback tables were built for another state layout")
+    def build(cls, state: StateVector, mixer: ObservableTerms, diag: np.ndarray) -> "Workspace":
+        """The workspace of the kernels on state's buffer, for mixer and diagonal diag.
+
+        The weight tables are built one at a time in one work buffer; the mixer
+        and diag are checked against the state's layout as feedback_observable
+        checks them.
+        """
         amps, top = state.amplitudes, _mirror_top(state)
-        half = _diag_for(tables.diag, state.n_qubits, state.mirrored)
+        half, pure, weighted = _split(mixer, diag, state.n_qubits, state.mirrored)
+        # The tables first, so that their work buffer is freed before the scratch buffer is
+        # allocated; the other order raised the peak RSS of an n=16 run by 0.1-0.3 MiB.
+        weighted = tuple(weighted)
         scratch = np.empty_like(amps)
         rx, edges = {}, []
-        for term in tables.mixer.terms:
+        for term in mixer.terms:
             qubit_of = {p: q for q, p in term.ops}
             if len(term.ops) == 1 and "X" in qubit_of:
                 rx[qubit_of["X"]] = _rx_views(amps, qubit_of["X"], top, scratch)
@@ -670,25 +679,26 @@ class Workspace:
                 edges.append((qubit_of["Y"], qubit_of["Z"]))
         return cls(
             amplitudes=amps,
-            tables=tables,
+            mirrored=state.mirrored,
+            mixer=mixer,
+            diag=diag,
             scratch=scratch,
             levels=_levels(half),
             gather=_gather_plan(amps, half, scratch),
             rx=rx,
             yz=_yz_layer(amps, scratch, edges, state.n_qubits, state.mirrored) if edges else None,
-            pure=tuple((c, *_pure_views(amps, scratch, j, top)) for j, c in tables.pure),
-            weighted=tuple((letter, table, *_pair_views(amps, scratch, j, top))
-                           for j, letter, table in tables.weighted),
+            pure=tuple((c, *_pure_views(amps, scratch, j, top)) for j, c in pure),
+            weighted=tuple((j, letter, table, *_pair_views(amps, scratch, j, top)) for j, letter, table in weighted),
         )
 
 
-def _bound(workspace: Workspace, state: StateVector, diag=None) -> Workspace:
-    """workspace, after checking that it was built on state's buffer and layout (and diag, if given)."""
-    tables = workspace.tables
+def _bound(workspace: Workspace, state: StateVector, diag=None, mixer=None) -> Workspace:
+    """workspace, after checking that it was built on state's buffer and layout (and diag and mixer, if given)."""
     # One buffer holds one size, so with the same buffer and mirroring the qubit count agrees too.
-    if (workspace.amplitudes is not state.amplitudes or tables.mirrored != state.mirrored
-            or (diag is not None and diag is not tables.diag)):
-        raise StateError("workspace was built for another state buffer, layout or diagonal")
+    if (workspace.amplitudes is not state.amplitudes or workspace.mirrored != state.mirrored
+            or (diag is not None and diag is not workspace.diag)
+            or (mixer is not None and mixer is not workspace.mixer)):
+        raise StateError("workspace was built for another state buffer, layout, diagonal or mixer")
     return workspace
 
 
@@ -750,24 +760,6 @@ def _weight_table(half: np.ndarray, j: int, top: int, terms, work: np.ndarray, k
     return table
 
 
-@dataclass(frozen=True, eq=False)
-class FeedbackTables:
-    """What feedback_observable reads of one mixer and one diagonal on states of one layout.
-
-    pure holds (j, c) for the X_j terms without a Z string, summed per qubit;
-    weighted holds (j, letter, table) per flipped qubit and letter of every
-    other term (see feedback_tables). mixer and diag are the objects the tables
-    were built from.
-    """
-
-    mixer: ObservableTerms
-    diag: np.ndarray
-    n_qubits: int
-    mirrored: bool
-    pure: tuple[tuple[int, float], ...]
-    weighted: tuple[tuple[int, str, np.ndarray], ...]
-
-
 def _split(mixer: ObservableTerms, diag, n: int, mirrored: bool):
     """Check mixer and diag against the layout; return the diagonal over the stored
     amplitudes, the pure X_j sums, and a generator of the weight tables, built one
@@ -819,23 +811,8 @@ def _weight_tables(half: np.ndarray, top: int, groups):
         yield j, letter, _weight_table(half, j, top, terms, work, kind)
 
 
-def feedback_tables(mixer: ObservableTerms, diag: np.ndarray, n_qubits: int, mirrored: bool) -> FeedbackTables:
-    """The tables feedback_observable needs for mixer and diagonal diag on n-qubit states, mirrored or full.
-
-    For each flipped qubit j and letter of the terms with a Z string (and every
-    Y term), one table over the pair index y of the amplitude pairs that differ
-    in bit j: P(y) = Delta_j(y) * sum_t c_t s_t(y), with Delta_j = D|bit j=1 -
-    D|bit j=0 and s_t the sign of term t's Z string. A table is int8 where
-    |P| <= 127 and the next wider integer above that; it is float64 when D or a
-    coefficient is not an integer. Build them once per run and pass them to
-    every call.
-    """
-    _, pure, weighted = _split(mixer, diag, n_qubits, mirrored)
-    return FeedbackTables(mixer, diag, n_qubits, mirrored, pure, tuple(weighted))
-
-
-def feedback_observable(state: StateVector, mixer: ObservableTerms, diag: np.ndarray,
-                        tables: FeedbackTables | None = None, *, workspace: Workspace | None = None) -> float:
+def feedback_observable(state: StateVector, mixer: ObservableTerms, diag: np.ndarray, *,
+                        workspace: Workspace | None = None) -> float:
     """Expectation of i[A, H_f] for Hermitian mixer A and diagonal H_f = D.
 
     O = -2 Im <psi| A (D psi)>, evaluated in closed form per kind of term:
@@ -846,42 +823,39 @@ def feedback_observable(state: StateVector, mixer: ObservableTerms, diag: np.nda
     - every other term flips one qubit j: over the amplitude pairs (a0, a1)
       that differ in bit j, the Y terms on j give +2 sum P Re(conj(a0) a1) and
       the X terms -2 sum P Im(conj(a0) a1), with P the weight table of j and
-      the letter (see feedback_tables). Per table that is one product of
-      half the stored size and one contraction with the table.
+      the letter. Per table that is one product of half the stored size and
+      one contraction with the table.
     - Pure-Z terms commute with D and give 0.
 
-    workspace is a Workspace of this state, whose tables, views and scratch
-    buffer the call uses. Without one, the call reads tables, which are
-    feedback_tables(mixer, diag, n, mirrored) of this state's layout, or
-    builds them for itself one at a time when tables is None, and builds its
-    views and a scratch buffer; tables is not read when a workspace is given.
+    A weight table holds, over the pair index y, P(y) = Delta_j(y) * sum_t c_t s_t(y),
+    with Delta_j = D|bit j=1 - D|bit j=0 and s_t the sign of term t's Z string. It is
+    int8 where |P| <= 127 and the next wider integer above that, and float64 when D or
+    a coefficient is not an integer.
+
+    workspace is a Workspace of this state, mixer and diag, whose tables, views and
+    scratch buffer the call uses. Without one, the call builds the tables for itself,
+    one at a time, and its views and a scratch buffer.
     A term that flips two or more qubits raises StateError, and so does, on a
     mirrored state, a term that anticommutes with the global flip.
     On a mirrored state every sum counts twice, for the mirror image, and a Z
     on qubit n-1 is +1.
     """
-    amps, n, top = state.amplitudes, state.n_qubits, _mirror_top(state)
-    if workspace is not None:
-        tables = _bound(workspace, state).tables
-    if tables is None:
-        half, pure, weighted = _split(mixer, diag, n, state.mirrored)
-    elif tables.mixer is mixer and tables.diag is diag and (tables.n_qubits, tables.mirrored) == (n, state.mirrored):
-        half, pure, weighted = diag[: amps.size], tables.pure, tables.weighted
-    else:
-        raise StateError("feedback tables were built for another mixer, diagonal or state layout")
+    amps, top = state.amplitudes, _mirror_top(state)
     if workspace is None:
+        half, pure, weighted = _split(mixer, diag, state.n_qubits, state.mirrored)
         scratch = np.empty(amps.size if pure else amps.size - amps.size // 4, dtype=np.complex128)
         pure = tuple((c, *_pure_views(amps, scratch, j, top)) for j, c in pure)
-        weighted = ((letter, table, *_pair_views(amps, scratch, j, top)) for j, letter, table in weighted)
+        weighted = ((j, letter, table, *_pair_views(amps, scratch, j, top)) for j, letter, table in weighted)
     else:
-        scratch, pure, weighted = workspace.scratch, workspace.pure, workspace.weighted
+        _bound(workspace, state, diag, mixer)
+        half, scratch, pure, weighted = diag[: amps.size], workspace.scratch, workspace.pure, workspace.weighted
     mirror_scale = 2.0 if state.mirrored else 1.0
     total = 0.0
     if pure:
         _minus_i_d_psi(amps, half, scratch)
         for c, p, e in pure:
             total -= 2.0 * mirror_scale * c * float(np.einsum("ijk,ijk->", p, e, order="C"))
-    for letter, table, a0, a1, product, part in weighted:
+    for _, letter, table, a0, a1, product, part in weighted:
         np.conjugate(a0, out=product, order="C")
         product *= a1
         part[...] = table

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 
 import pytest
@@ -179,9 +180,15 @@ def test_config_file_unknown_key_names_the_key(tmp_path):
     ("instances_per_n", 0, r"instances_per_n must be >= 1, got 0 in .*cfg\.json$"),
     ("state_cap", 1, r"^state_cap must be in \[2, 24\], got 1 in .*cfg\.json$"),
     ("state_cap", 25, r"^state_cap must be in \[2, 24\], got 25 in .*cfg\.json$"),
+    ("dt", math.nan, r"^dt must be finite and positive, got nan in .*cfg\.json$"),
+    ("epsilon", math.inf, r"^epsilon must be finite and positive, got inf in .*cfg\.json$"),
+    ("beta", {"c": -0.04}, r"^beta c must be finite and >= 0, got -0\.04 in .*cfg\.json$"),
+    ("beta", {"floor": 1.5}, r"^beta floor must be finite and in \[0, 1\], got 1\.5 in .*cfg\.json$"),
+    ("beta", {"rate": math.nan}, r"^beta rate must be finite and >= 0, got nan in .*cfg\.json$"),
 ], ids=["ansatz", "family", "adaptive_dt", "lightcone_feedback", "exhaustive_cubic", "rounds_text",
         "rounds_zero", "n_list_scalar", "n_list_item", "beta_c", "beta_scalar", "dt_bool", "instances_zero",
-        "state_cap_below_two", "state_cap_above_the_default"])
+        "state_cap_below_two", "state_cap_above_the_default", "dt_nan", "epsilon_inf", "beta_c_negative",
+        "beta_floor_above_one", "beta_rate_nan"])
 def test_config_file_bad_value_names_key_value_and_choices(tmp_path, key, value, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"family": "regular3", "n_list": [6], "rounds": 5, key: value}))
@@ -191,9 +198,13 @@ def test_config_file_bad_value_names_key_value_and_choices(tmp_path, key, value,
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--dt", "0", r"--dt must be positive, got 0\.0$"),
+    ("--dt", "0", r"--dt must be finite and positive, got 0\.0$"),
+    ("--dt", "nan", r"--dt must be finite and positive, got nan$"),
+    ("--dt", "inf", r"--dt must be finite and positive, got inf$"),
+    ("--epsilon", "nan", r"--epsilon must be finite and positive, got nan$"),
+    ("--epsilon", "inf", r"--epsilon must be finite and positive, got inf$"),
     ("--rounds", "0", r"--rounds must be >= 1, got 0$"),
-], ids=["dt", "rounds"])
+], ids=["dt", "dt_nan", "dt_inf", "epsilon_nan", "epsilon_inf", "rounds"])
 def test_run_bad_option_value_names_the_flag(tmp_path, flag, value, message):
     with pytest.raises(SystemExit, match=message):
         main(["run", "--graph", "regular3:n=8,seed=1", flag, value, "--out", str(tmp_path / "out")])

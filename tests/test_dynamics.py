@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from lyapcut.certificates import potential_value, trapezoidal_bounds
+from lyapcut.certificates import potential_value
 from lyapcut.graphs import (
     Graph,
     GraphError,
@@ -33,7 +34,6 @@ from lyapcut.statevector import (
     Workspace,
     expectation_pauli,
     feedback_observable,
-    feedback_tables,
     init_plus,
     sum_x,
     sum_yz,
@@ -61,6 +61,32 @@ class TestBetaSchedule:
     def test_custom_params(self):
         p = BetaParams(c=0.1, floor=0.25, rate=1.0)
         assert beta_schedule(80.0, rounds=1000, dt=0.08, params=p) == pytest.approx(0.1 * 0.75)
+
+
+# A run setting out of range, and the message that names its field and value.
+BAD_SETTINGS = {
+    "dt_nan": ("dt", math.nan, r"^dt must be finite and positive, got nan$"),
+    "dt_inf": ("dt", math.inf, r"^dt must be finite and positive, got inf$"),
+    "epsilon_nan": ("epsilon", math.nan, r"^epsilon must be finite and positive, got nan$"),
+    "epsilon_inf": ("epsilon", math.inf, r"^epsilon must be finite and positive, got inf$"),
+    "c_negative": ("c", -0.04, r"^beta c must be finite and >= 0, got -0\.04$"),
+    "c_nan": ("c", math.nan, r"^beta c must be finite and >= 0, got nan$"),
+    "floor_above_one": ("floor", 1.5, r"^beta floor must be finite and in \[0, 1\], got 1\.5$"),
+    "floor_negative": ("floor", -0.1, r"^beta floor must be finite and in \[0, 1\], got -0\.1$"),
+    "rate_negative": ("rate", -1.0, r"^beta rate must be finite and >= 0, got -1\.0$"),
+    "rate_inf": ("rate", math.inf, r"^beta rate must be finite and >= 0, got inf$"),
+}
+
+
+class TestRunSettings:
+    @pytest.mark.parametrize("name, value, message", BAD_SETTINGS.values(), ids=BAD_SETTINGS)
+    def test_out_of_range_values_are_refused_naming_field_and_value(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(**{name: value}) if name in ("dt", "epsilon") else BetaParams(**{name: value})
+
+    def test_range_ends_are_accepted(self):
+        for params in (BetaParams(c=0.0), BetaParams(floor=0.0), BetaParams(floor=1.0), BetaParams(rate=0.0)):
+            assert RunConfig(beta=params).beta == params
 
 
 class TestBfsOrder:
@@ -239,19 +265,14 @@ class TestRefinementConsistency:
         h = build_maxcut(g)
         oracle = brute_force_max_cut(g)
         finals = {}
-        trap_gaps = {}
         # rate scales with rounds so beta stays the same function of t
         for dt, rounds, rate in [(0.16, 200, 1.0), (0.08, 400, 2.0), (0.04, 800, 4.0)]:
             cfg = RunConfig(dt=dt, rounds=rounds, beta=BetaParams(rate=rate))
             traces = run_qaoa_feedback(g, h, cfg, oracle)
-            lam_tr, two_tr = trapezoidal_bounds(traces, h.m, dt)
             finals[dt] = (traces[-1].lambda_lb, traces[-1].two_param_lb)
-            trap_gaps[dt] = (abs(traces[-1].lambda_lb - lam_tr), abs(traces[-1].two_param_lb - two_tr))
         for idx in (0, 1):
             ratio = abs(finals[0.16][idx] - finals[0.08][idx]) / abs(finals[0.08][idx] - finals[0.04][idx])
             assert 1.5 <= ratio <= 2.5
-            gap_ratio = trap_gaps[0.16][idx] / trap_gaps[0.08][idx]
-            assert 1.5 <= gap_ratio <= 2.5
 
 
 class TestAdaptiveMode:
@@ -467,7 +488,7 @@ def wide_table(half, j, top, terms):
 
 
 class TestMixerFeedbackTables:
-    """The light cone's feedback reads per-head weight tables that its Mixer builds once per run."""
+    """The light cone's feedback reads per-head weight tables that the run's Workspace holds."""
 
     @pytest.mark.parametrize("orientation, n", [(o, n) for o in ORIENTATIONS
                                                 for n in range(3 if o == "interior_only" else 2, 9)])
@@ -485,7 +506,7 @@ class TestMixerFeedbackTables:
             state = random_mirrored(n, rng)
             expect = dense.commutator_expectation(state.full(), a_mat, h_mat)
             assert abs(mixer.observe(state) - expect) < 1e-10
-        assert sorted(j for j, _, _ in mixer.tables.weighted) == sorted(heads)
+        assert sorted(j for j, *_ in mixer.workspace(state).weighted) == sorted(heads)
 
     def test_complete_graph_root_needs_int16(self):
         # K16: the BFS root has 15 tails, so |Delta * s| reaches 15 * 15 = 225 on its table.
@@ -495,25 +516,18 @@ class TestMixerFeedbackTables:
         state = random_mirrored(n, np.random.default_rng(310))
         expect = expectation_pauli(state, commutator_terms(mixer.generator, mixer.h))
         assert abs(mixer.observe(state) - expect) < 1e-10 * max(1.0, abs(expect))
-        root = {j: table for j, _, table in mixer.tables.weighted}[0]
+        root = {j: table for j, _, table, *_ in mixer.workspace(state).weighted}[0]
         assert root.dtype == np.int16 and int(np.abs(root).max()) == 225
-
-    def test_tables_are_built_once_per_run_for_both_ansaetze(self, monkeypatch, cubic10):
-        g, h, oracle = cubic10
-        builds = counting(monkeypatch, "feedback_tables")
-        run_light_cone(g, h, RunConfig(rounds=7), oracle)
-        assert len(builds) == 1
-        run_qaoa_feedback(g, h, RunConfig(rounds=7), oracle)
-        assert len(builds) == 2
 
     def test_observe_with_built_tables_allocates_under_one_state_size(self):
         n = 16
         mixer = light_cone_mixer(gen_random_regular(n, 3, seed=1))
         state = random_mirrored(n, np.random.default_rng(320))
-        mixer.observe(state)
+        workspace = mixer.workspace(state)
+        mixer.observe(state, workspace)
         tracemalloc.start()
         try:
-            mixer.observe(state)
+            mixer.observe(state, workspace)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -523,7 +537,7 @@ class TestMixerFeedbackTables:
     def test_cubic_tables_take_at_most_one_byte_per_pair(self, n):
         mixer = light_cone_mixer(gen_random_regular(n, 3, seed=n))
         heads = {j for j, _ in mixer.yz_edges}
-        tables = [table for _, _, table in mixer.tables.weighted]
+        tables = [table for _, _, table, *_ in mixer.workspace(init_plus(n, mirrored=True)).weighted]
         assert len(tables) == len(heads)
         assert all(table.dtype == np.int8 and not table.flags.writeable for table in tables)
         assert sum(table.nbytes for table in tables) <= len(heads) << (n - 2)
@@ -539,35 +553,61 @@ class TestMixerFeedbackTables:
         cases = [(sum_yz(edges), h.diag), (sum_yz(edges), h.diag.astype(np.int64) - 40),
                  (sum_yz(edges), h.diag * 0.5), (ObservableTerms.from_pairs(weighted), h.diag)]
         for mixer, diag in cases:
-            tables = feedback_tables(mixer, diag, g.n, True)
+            weighted = Workspace.build(init_plus(g.n, mirrored=True), mixer, diag).weighted
             half, top = diag[: 1 << (g.n - 1)], g.n - 1
             groups = {(j, letter): terms for (j, letter), terms in wide_groups(mixer, g.n).items()}
-            assert [(j, letter) for j, letter, _ in tables.weighted] == list(groups)
-            for j, letter, table in tables.weighted:
+            assert [(j, letter) for j, letter, *_ in weighted] == list(groups)
+            for j, letter, table, *_ in weighted:
                 expect = wide_table(half, j, top, groups[j, letter])
                 assert table.dtype == expect.dtype and np.array_equal(table, expect)
 
     def test_building_the_tables_allocates_little_beyond_them(self):
+        # Beyond its tables and its scratch buffer, building the run's workspace takes at
+        # most its views, the tables' work buffer and one table in the making.
         mixer = light_cone_mixer(gen_random_regular(16, 3, seed=1))
+        state = init_plus(16, mirrored=True)
         mixer.h.diag
         mixer.generator._single_flips
         tracemalloc.start()
         try:
-            tables = mixer.tables
+            workspace = mixer.workspace(state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = sum(table.nbytes for _, _, table in tables.weighted)
-        assert kept == len(tables.weighted) << 14 and peak - kept <= 64 << 10
+        tables = [table for _, _, table, *_ in workspace.weighted]
+        kept = sum(table.nbytes for table in tables)
+        assert kept == len(tables) << 14 and peak - kept - workspace.scratch.nbytes <= 64 << 10
 
-    def test_tables_of_another_layout_are_refused(self):
+    def test_a_workspace_of_another_layout_is_refused(self):
         mixer = light_cone_mixer(gen_random_regular(8, 3, seed=1))
-        with pytest.raises(StateError, match="another mixer, diagonal or state layout"):
-            mixer.observe(init_plus(8))
+        state = init_plus(8, mirrored=True)
+        workspace = mixer.workspace(state)
+        with pytest.raises(StateError, match="another state buffer, layout"):
+            mixer.observe(StateVector(7, state.amplitudes), workspace)
 
 
 class TestMixerWorkspace:
     """A run builds one Workspace on its state buffer and hands it to every kernel call."""
+
+    @pytest.mark.parametrize("runner", [run_qaoa_feedback, run_light_cone])
+    def test_a_run_builds_one_workspace_and_no_other_table_set(self, monkeypatch, cubic10, runner):
+        g, h, oracle = cubic10
+        builds, splits = [], []
+        build, split = Workspace.build.__func__, sv._split
+        monkeypatch.setattr(Workspace, "build", classmethod(lambda cls, *args: builds.append(args) or build(cls, *args)))
+        monkeypatch.setattr(sv, "_split", lambda *args: splits.append(args) or split(*args))
+        runner(g, h, RunConfig(rounds=7), oracle)
+        assert len(builds) == 1 and len(splits) == 1
+
+    @pytest.mark.parametrize("runner", [run_qaoa_feedback, run_light_cone])
+    def test_a_mixer_holds_only_its_fields_after_a_run(self, monkeypatch, cubic10, runner):
+        g, h, oracle = cubic10
+        mixers = []
+        run_loop = dynamics._run_loop
+        monkeypatch.setattr(dynamics, "_run_loop", lambda mixer, *args: mixers.append(mixer) or run_loop(mixer, *args))
+        runner(g, h, RunConfig(rounds=3), oracle)
+        (mixer,) = mixers
+        assert vars(mixer).keys() == {f.name for f in dataclasses.fields(Mixer)}
 
     @pytest.mark.parametrize("runner", [run_qaoa_feedback, run_light_cone])
     def test_every_kernel_call_of_a_run_gets_the_one_workspace(self, monkeypatch, cubic10, runner):

@@ -19,9 +19,10 @@ from lyapcut.experiments import (
     run_suite,
     solve_instance,
     suite_instances,
+    write_summary,
     write_trace_csv,
 )
-from lyapcut.graphs import FAMILIES, Graph
+from lyapcut.graphs import FAMILIES, CutOracleResult, Graph
 from lyapcut.graphs import brute_force_max_cut
 
 
@@ -133,7 +134,18 @@ class TestRunSuite:
         for graph_id, g in suite_instances(spec):
             oracle = brute_force_max_cut(g)
             summary = json.loads((tmp_path / f"{graph_id}.json").read_text())
-            assert summary["oracle"] == {"optimum": oracle.optimum, "one_maximizer": oracle.bitstrings(g.n)[0]}
+            side = "".join(str(oracle.maximizers[0] >> v & 1) for v in range(g.n))
+            assert summary["oracle"] == {"optimum": oracle.optimum, "one_maximizer": side}
+
+    def test_summary_maximizer_uses_vertex_order(self, tmp_path):
+        # Character v is the side of vertex v, which is bit v of the basis index: the star
+        # centred on vertex 0 is cut best by vertex 0 alone, index 1.
+        g = Graph.from_edges(3, [(0, 1), (0, 2)])
+        cfg = RunConfig(rounds=2)
+        oracle, traces = solve_instance(g, cfg)
+        assert oracle == CutOracleResult(optimum=2, maximizers=(1, 6))
+        write_summary(tmp_path / "s.json", "s", g, cfg, None, oracle, traces)
+        assert json.loads((tmp_path / "s.json").read_text())["oracle"]["one_maximizer"] == "100"
 
     def test_byte_identical_reruns(self, tmp_path):
         spec = small_spec(family="bipartite", n_list=(6,), config=RunConfig(rounds=30))
@@ -217,7 +229,7 @@ class TestRunSuite:
         spec = small_spec(family="erdos_renyi", n_list=(8,), config=cfg)
         manifest = run_suite(spec, tmp_path)
         assert manifest["instances"] == []
-        assert manifest["skipped"][0]["reason"].startswith("n=8 above state cap")
+        assert manifest["skipped"][0]["reason"] == "n=8 is above state cap 6"
 
     def test_bounds_hold_across_suite(self, tmp_path):
         spec = small_spec(family="erdos_renyi", n_list=(6, 8), instances_per_n=2,

@@ -7,7 +7,6 @@ import pytest
 from lyapcut import graphs
 from lyapcut.graphs import (
     FAMILIES,
-    CutOracleResult,
     Graph,
     GraphError,
     are_isomorphic,
@@ -217,10 +216,6 @@ class TestOracle:
                      lambda: init_plus(25), lambda: init_plus(25, mirrored=True)):
             with pytest.raises(ValueError, match=rf"^n=25 is above state cap {STATE_CAP_DEFAULT}$"):
                 call()
-
-    def test_bitstrings_use_vertex_order(self):
-        res = CutOracleResult(optimum=1, maximizers=(1, 6))
-        assert res.bitstrings(3) == ("100", "011")
 
 
 def family_sizes(sizes):

@@ -16,7 +16,6 @@ from lyapcut.statevector import (
     expectation_diagonal,
     expectation_pauli,
     feedback_observable,
-    feedback_tables,
     init_plus,
     sum_x,
     sum_yz,
@@ -434,14 +433,6 @@ class TestNormAndDump:
                 apply_diagonal_phase(s, diag, theta)
         assert abs(s.norm() - 1.0) < 1e-9
 
-    def test_json_dump_round_trip(self):
-        s = init_plus(2)
-        apply_rx(s, 0, 0.3)
-        dumped = s.to_json_list()
-        assert len(dumped) == 4
-        rebuilt = np.array([complex(re, im) for re, im in dumped])
-        assert np.allclose(rebuilt, s.amplitudes, atol=1e-15)
-
 
 def random_mirrored(n, rng):
     """A random flip-symmetric state, psi = concat(h, h[::-1]), stored as its half h."""
@@ -486,7 +477,6 @@ class TestMirroredState:
         assert c.mirrored and np.array_equal(c.full(), full)
         c.amplitudes[0] += 1.0
         assert np.array_equal(s.full(), full)
-        assert len(s.to_json_list()) == 1 << n
 
     @pytest.mark.parametrize("n", MIRROR_SIZES)
     def test_init_plus_is_half_of_the_full_state(self, n):
@@ -594,7 +584,7 @@ class TestMirroredState:
             mixer = ObservableTerms.from_pairs(pairs)
             got = feedback_observable(s, mixer, diag)
             assert abs(got - dense_feedback(s.full(), pairs, diag)) < 1e-10
-            assert feedback_observable(s, mixer, diag, feedback_tables(mixer, diag, n, True)) == got
+            assert feedback_observable(s, mixer, diag, workspace=Workspace.build(s, mixer, diag)) == got
 
     def test_feedback_is_zero_on_mirrored_plus_state(self):
         n = 6
@@ -667,7 +657,7 @@ class TestWorkspace:
             mixer = ObservableTerms.from_pairs(pairs)
             bare = random_mirrored(n, rng)
             held = bare.copy()
-            ws = Workspace.build(held, feedback_tables(mixer, diag, n, True))
+            ws = Workspace.build(held, mixer, diag)
             for _ in range(2):
                 vec = bare.full()
                 got = feedback_observable(held, mixer, diag, workspace=ws)
@@ -702,7 +692,7 @@ class TestWorkspace:
         mixer = sum_x(n)
         bare = random_sv(n, rng)
         held = bare.copy()
-        ws = Workspace.build(held, feedback_tables(mixer, diag, n, False))
+        ws = Workspace.build(held, mixer, diag)
         assert feedback_observable(held, mixer, diag, workspace=ws) == feedback_observable(bare, mixer, diag)
         for q in range(n):
             apply_rx(bare, q, 0.3)
@@ -716,7 +706,7 @@ class TestWorkspace:
         diag = naive_cut_table(n, edges)
         lc = ObservableTerms.from_pairs([(1.0, {j: "Y", k: "Z"}) for j, k in edges])
         state = random_mirrored(n, rng)
-        ws = Workspace.build(state, feedback_tables(lc, diag, n, True))
+        ws = Workspace.build(state, lc, diag)
         other = state.copy()
         calls = [
             lambda s: apply_yz_layer(s, edges, 0.2, workspace=ws),
@@ -739,8 +729,13 @@ class TestWorkspace:
             apply_yz_layer(state, edges[::-1], 0.2, workspace=ws)
         with pytest.raises(StateError, match="no gate"):
             apply_rx(state, 0, 0.2, workspace=ws)
-        with pytest.raises(StateError, match="another state layout"):
-            Workspace.build(init_plus(n), feedback_tables(lc, diag, n, True))
+        # A workspace serves the mixer object it was built for, and no other, not even an equal one.
+        for mixer, built in ((lc, Workspace.build(state, sum_x(n), diag)), (sum_yz(edges), ws)):
+            with pytest.raises(StateError, match="another state buffer, layout, diagonal or mixer"):
+                feedback_observable(state, mixer, diag, workspace=built)
+        # The build checks the mixer against the state's layout, as feedback_observable does.
+        with pytest.raises(StateError, match="anticommutes with the global flip"):
+            Workspace.build(state, ObservableTerms.from_pairs([(1.0, {0: "Y"})]), diag)
 
 
 def yz_layer_cases(n, rng):
@@ -785,7 +780,7 @@ class TestYZLayer:
             diag = naive_cut_table(n, sorted({(min(e), max(e)) for e in edges}))
             bare = random_mirrored(n, rng) if mirrored else random_sv(n, rng)
             held = bare.copy()
-            ws = Workspace.build(held, feedback_tables(mixer, diag, n, mirrored))
+            ws = Workspace.build(held, mixer, diag)
             for _ in range(3):
                 theta = float(rng.uniform(-1.5, 1.5))
                 apply_yz_layer(bare, edges, theta)
@@ -798,10 +793,10 @@ class TestYZLayer:
         edges = [(0, 1), (0, 5), (5, 2), (2, 3), (3, 4)]
         diag = naive_cut_table(n, [(0, 1), (0, 5), (2, 5), (2, 3), (3, 4)])
         state = random_mirrored(n, rng)
-        ws = Workspace.build(state, feedback_tables(sum_yz(edges), diag, n, True))
+        ws = Workspace.build(state, sum_yz(edges), diag)
         with pytest.raises(StateError, match="another state buffer"):
             apply_yz_layer(state.copy(), edges, 0.2, workspace=ws)
-        transverse = Workspace.build(state, feedback_tables(sum_x(n), diag, n, True))
+        transverse = Workspace.build(state, sum_x(n), diag)
         with pytest.raises(StateError, match="no layer"):
             apply_yz_layer(state, edges, 0.2, workspace=transverse)
 
