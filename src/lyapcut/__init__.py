@@ -13,11 +13,9 @@ from .certificates import (
 )
 from .dynamics import (
     BetaParams,
-    BfsOrder,
     RunConfig,
     StepTrace,
     beta_schedule,
-    bfs_order,
     run_light_cone,
     run_qaoa_feedback,
 )
@@ -34,11 +32,13 @@ from .experiments import (
     solve_instance,
 )
 from .graphs import (
+    BfsOrder,
     CutOracleResult,
     EdgeColoring,
     GenerationError,
     Graph,
     GraphError,
+    bfs_order,
     brute_force_max_cut,
     edge_coloring,
     enumerate_cubic,

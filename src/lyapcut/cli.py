@@ -104,13 +104,13 @@ def _spec_number(value: str, key: str, kind: type, spec: str):
                          f"{'an integer' if kind is int else 'a number'}") from None
 
 
-def _resolve_graph(arg: str) -> Graph:
+def _resolve_graph(arg: str, command: str) -> Graph:
     """Accept a path or a compact spec like 'regular3:n=10,seed=7'."""
     if Path(arg).exists():
         try:
             return load_graph(arg)
-        except GraphError as err:
-            raise SystemExit(str(err)) from None
+        except GraphError as err:  # the message names the file
+            raise SystemExit(f"lyapcut {command} --graph: {err}") from None
     if ":" not in arg:
         raise SystemExit(f"graph file not found and not a family spec: {arg}")
     family, _, params = arg.partition(":")
@@ -134,11 +134,15 @@ def _resolve_graph(arg: str) -> Graph:
 
 
 def _config_from_file(path: str) -> SuiteSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise SystemExit(f"{path} is not valid JSON: {err.msg} at line {err.lineno} column {err.colno}") from None
+    except OSError as err:
+        raise SystemExit(f"--config {path}: cannot read: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise SystemExit(f"--config {path}: not UTF-8 text: {err}") from None
+    except json.JSONDecodeError as err:
+        raise SystemExit(f"{path} is not valid JSON: {err.msg} at line {err.lineno} column {err.colno}") from None
     if not isinstance(raw, dict):
         raise SystemExit(f"{path} must hold a JSON object of config keys, got {type(raw).__name__}")
     _reject_unknown(raw, _CONFIG_KEYS, path)
@@ -165,10 +169,21 @@ def _targets(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"{text!r}: {err}") from None
 
 
+def _output_dir(args) -> Path:
+    """The --out directory, made if absent; a path that cannot be a directory stops naming flag and path."""
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise SystemExit(f"lyapcut {args.command} --out {args.out}: "
+                         f"cannot make the directory: {err.strerror}") from None
+    return out
+
+
 def _cmd_run(args) -> int:
     if args.graph_id is not None and Path(args.graph_id).name != args.graph_id:
         raise SystemExit(f"lyapcut run: --graph-id {args.graph_id!r} must be a file name without a path separator")
-    g = _resolve_graph(args.graph)
+    g = _resolve_graph(args.graph, args.command)
     # Each run flag stores under the RunConfig field it sets; an absent flag keeps the field default.
     fields = {k: v for k, v in vars(args).items() if k in _RUN_FIELDS}
     try:
@@ -180,8 +195,7 @@ def _cmd_run(args) -> int:
         oracle, traces = solve_instance(g, cfg)
     except GraphError as err:  # above the state cap, or disconnected under the light cone
         raise SystemExit(f"lyapcut run --graph {args.graph}: {err}") from None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args)
     graph_id = args.graph_id or f"run_n{g.n:02d}"
     write_trace_csv(out / f"{graph_id}.csv", graph_id, g, traces)
     write_summary(out / f"{graph_id}.json", graph_id, g, cfg, None, oracle, traces)
@@ -193,7 +207,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_suite(args) -> int:
     spec = _config_from_file(args.config)
-    manifest = run_suite(spec, args.out)
+    manifest = run_suite(spec, _output_dir(args))
     print(f"suite complete: {len(manifest['instances'])} instances, "
           f"{len(manifest['skipped'])} skipped, results in {args.out}")
     return 0
@@ -209,8 +223,7 @@ def _cmd_convergence(args) -> int:
         records = convergence_experiment(spec, args.targets)
     except ValueError as err:  # such as an n_list entry above the state cap, refused before any run
         raise SystemExit(f"{err} in {args.config}") from None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args)
 
     lines = ["graph_id,n,target,rounds_to_target"]
     for r in records:
@@ -254,13 +267,13 @@ def _emit_convergence_plot(records: list[ConvergenceRecord], fits: dict[str, Fit
 
 
 def _cmd_oracle(args) -> int:
-    g = _resolve_graph(args.graph)
+    g = _resolve_graph(args.graph, args.command)
     try:
         res = brute_force_max_cut(g)
     except GraphError as err:  # above the state cap
         raise SystemExit(f"lyapcut oracle --graph {args.graph}: {err}") from None
     print(f"optimum {res.optimum}")
-    print(f"maximizer {format(res.maximizers[0], f'0{g.n}b')[::-1]}")
+    print(f"maximizer {res.sides(g.n)}")
     return 0
 
 
@@ -276,7 +289,10 @@ def _cmd_gen(args) -> int:
                                   if name in args})
     except GraphError as err:
         raise SystemExit(f"lyapcut gen --family {args.family} --n {args.n}: {err}") from None
-    Path(args.out).write_text(g.to_text(), encoding="utf-8")
+    try:
+        Path(args.out).write_text(g.to_text(), encoding="utf-8")
+    except OSError as err:
+        raise SystemExit(f"lyapcut gen --out {args.out}: cannot write: {err.strerror}") from None
     print(f"wrote {family} graph n={g.n} m={g.m} to {args.out}")
     return 0
 

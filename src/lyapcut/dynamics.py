@@ -1,4 +1,4 @@
-"""Feedback evolution loops: schedule, BFS orientation, the Mixer, and the two ansatz drivers.
+"""Feedback evolution loops: schedule, the Mixer, and the two ansatz drivers.
 
 Each public runner builds one Mixer, the mixer generator A of its ansatz. Each
 round p measures O = <i[A, H_f]> on the current state, converts it into the
@@ -21,11 +21,12 @@ kernel call.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .certificates import Certificates
-from .graphs import CutOracleResult, Graph, GraphError
+from .graphs import CutOracleResult, Graph, GraphError, bfs_order
 from .hamiltonian import MaxCutHamiltonian, NormBounds, error_constants
 from .statevector import (
     STATE_CAP_DEFAULT,
@@ -87,6 +88,8 @@ class RunConfig:
             raise ValueError(f"ansatz must be one of {ANSATZE}, got {self.ansatz!r}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if isinstance(self.rounds, bool) or not isinstance(self.rounds, numbers.Integral):
+            raise ValueError(f"rounds must be an integer, got {self.rounds!r}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
@@ -115,47 +118,17 @@ class StepTrace:
 
 
 @dataclass(frozen=True)
-class BfsOrder:
-    seq: tuple[int, ...]
-    oriented_edges: tuple[tuple[int, int], ...]
-
-
-def bfs_order(g: Graph, root: int = 0) -> BfsOrder:
-    """Breadth-first discovery order from root, neighbors in ascending index.
-
-    Every edge is oriented from its earlier-discovered endpoint and the edge
-    list is sorted by (head seq, tail seq), which fixes the gate order.
-    """
-    if not 0 <= root < g.n:
-        raise GraphError(f"root {root} out of range")
-    seq = [-1] * g.n
-    seq[root] = 0
-    order = [root]
-    for v in order:  # the loop reaches the vertices it appends
-        for w in g.adjacency[v]:
-            if seq[w] == -1:
-                seq[w] = len(order)
-                order.append(w)
-    if len(order) != g.n:
-        raise GraphError("graph is disconnected; BFS orientation undefined")
-    oriented = []
-    for u, v in g.edges:
-        j, k = (u, v) if seq[u] < seq[v] else (v, u)
-        oriented.append((j, k))
-    oriented.sort(key=lambda e: (seq[e[0]], seq[e[1]]))
-    return BfsOrder(seq=tuple(seq), oriented_edges=tuple(oriented))
-
-
-@dataclass(frozen=True)
 class Mixer:
     """The mixer generator A of one run: its layer, O = <i[A, H_f]>, and its norm bounds.
 
-    yz_edges is None for the transverse field, sum_j X_j after a phase layer of
-    H_f / m, and holds the gate order of the light cone's sum of Y_j Z_k. With
-    feedback the layer coefficient is beta * O, which keeps the certificate
-    increments nonnegative; without it the literal beta is used and negative
-    increments are clamped by the trackers. Kernels are called through this
-    module's names, so rebinding one reaches every call.
+    The layer fixes the generator, which __post_init__ sets. yz_edges None is
+    the transverse field, a phase layer of H_f / m then generator sum_j X_j;
+    an edge tuple is the light cone's gate order, and the generator is the sum
+    of Y_j Z_k over those edges. With feedback the layer coefficient is
+    beta * O, which keeps the certificate increments nonnegative; without it
+    the literal beta is used and negative increments are clamped by the
+    trackers. Kernels are called through this module's names, so rebinding one
+    reaches every call.
 
     workspace(state) builds the run's one Workspace on the state buffer: the
     kernels' views, scratch buffer and feedback tables (one weight table per
@@ -164,9 +137,12 @@ class Mixer:
     """
 
     h: MaxCutHamiltonian
-    generator: ObservableTerms
     feedback: bool = True
     yz_edges: Optional[tuple[tuple[int, int], ...]] = None
+    generator: ObservableTerms = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "generator", sum_x(self.h.n) if self.yz_edges is None else sum_yz(self.yz_edges))
 
     def workspace(self, state) -> Workspace:
         return Workspace.build(state, self.generator, self.h.diag)
@@ -280,7 +256,7 @@ def run_qaoa_feedback(
 ) -> list[StepTrace]:
     """Transverse-field feedback ansatz: diagonal phase layer then n RX rotations."""
     _check_graph(g, h)
-    return _run_loop(Mixer(h, sum_x(g.n)), cfg, oracle, observer, stop_at_true_ratio)
+    return _run_loop(Mixer(h), cfg, oracle, observer, stop_at_true_ratio)
 
 
 def run_light_cone(
@@ -295,5 +271,5 @@ def run_light_cone(
     YZ sum is one feedback term, and cfg.lightcone_feedback turns the feedback off."""
     _check_graph(g, h)
     edges = bfs_order(g, root=0).oriented_edges
-    mixer = Mixer(h, sum_yz(edges), feedback=cfg.lightcone_feedback, yz_edges=edges)
+    mixer = Mixer(h, feedback=cfg.lightcone_feedback, yz_edges=edges)
     return _run_loop(mixer, cfg, oracle, observer, stop_at_true_ratio)

@@ -13,6 +13,7 @@ import dataclasses
 import html
 import json
 import math
+import numbers
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -62,6 +63,11 @@ class SuiteSpec:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if not self.n_list:
             raise ValueError(f"n_list must be nonempty, got {self.n_list}")
+        for i, n in enumerate(self.n_list):
+            _check_integer("n_list", n)
+            if n in self.n_list[:i]:
+                raise ValueError(f"n_list repeats n={n}, got {self.n_list}")
+        _check_integer("instances_per_n", self.instances_per_n)
         if self.instances_per_n < 1:
             raise ValueError(f"instances_per_n must be >= 1, got {self.instances_per_n}")
         if self.exhaustive_cubic and self.family != "regular3":
@@ -77,6 +83,11 @@ class SuiteSpec:
                 check_family(self.family, n, p=self.p, degree=self.degree)
             except GraphError as err:
                 raise ValueError(f"{self.family} graphs of n={n} (n_list): {err}") from None
+
+
+def _check_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -191,7 +202,7 @@ def write_summary(path: Path, graph_id: str, g: Graph, cfg: RunConfig, family: O
         "config": dataclasses.asdict(cfg),
         "oracle": {
             "optimum": oracle.optimum,
-            "one_maximizer": format(oracle.maximizers[0], f"0{g.n}b")[::-1],
+            "one_maximizer": oracle.sides(g.n),
         },
         "final": {
             "step": last.step,
@@ -282,12 +293,14 @@ def run_suite(spec: SuiteSpec, output_dir) -> dict:
 
 
 def convergence_targets(targets: Iterable[float]) -> tuple[float, ...]:
-    """The targets sorted; there must be at least one, and each must lie in (0, 1)."""
+    """The targets sorted; there must be at least one, each must lie in (0, 1), and none may repeat."""
     targets = tuple(sorted(targets))
     if not targets:
         raise ValueError("need at least one target")
     if any(not 0 < t < 1 for t in targets):
         raise ValueError(f"targets must lie in (0, 1), got {targets}")
+    if repeated := [a for a, b in zip(targets, targets[1:]) if a == b]:
+        raise ValueError(f"targets repeat {repeated[0]!r}, got {targets}")
     return targets
 
 

@@ -1,4 +1,4 @@
-"""Problem instances: graph construction, test families, cut oracle, edge coloring.
+"""Problem instances: graph construction, test families, BFS orientation, cut oracle, edge coloring.
 
 Graphs are unweighted, undirected and simple. Vertices are 0..n-1 and every
 edge is stored as a pair (u, v) with u < v. Generators resample until the
@@ -116,29 +116,36 @@ class EdgeColoring:
 
 @dataclass(frozen=True)
 class CutOracleResult:
-    """Exhaustive Max-Cut result: best cut value and all attaining assignments.
+    """Exhaustive Max-Cut result: the best cut value and the lowest basis index attaining it.
 
-    Maximizers are basis indices; bit j of an index is the side of vertex j.
-    The set is closed under global bit flip.
+    Bit j of the maximizer is the side of vertex j; its global bit flip attains
+    the optimum too.
     """
 
     optimum: int
-    maximizers: tuple[int, ...]
+    maximizer: int
 
     @classmethod
     def from_table(cls, table: np.ndarray) -> "CutOracleResult":
-        """The optimum and every maximizer of a full cut table, such as cut_table(g)."""
-        best = int(table.max())
-        return cls(optimum=best, maximizers=tuple(int(i) for i in np.flatnonzero(table == best)))
+        """The optimum and the first maximizer of a full cut table, such as cut_table(g)."""
+        best = int(np.argmax(table))
+        return cls(optimum=int(table[best]), maximizer=best)
+
+    def sides(self, n: int) -> str:
+        """The maximizer as n sides in vertex order: character j is the side of vertex j."""
+        return format(self.maximizer, f"0{n}b")[::-1]
 
 
 def load_graph(path: str) -> Graph:
     """Read a graph from either the plain-text or the JSON on-disk format;
-    malformed content raises GraphError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    malformed content, bytes that are not UTF-8 and a path that cannot be read
+    raise GraphError naming the file."""
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
         return Graph.from_json_dict(json.loads(text)) if text.lstrip().startswith("{") else Graph.from_text(text)
+    except OSError as err:
+        raise GraphError(f"graph file {path}: cannot read: {err.strerror}") from None
     except KeyError as err:
         raise GraphError(f"graph file {path}: no {err} key") from None
     except (ValueError, TypeError) as err:
@@ -150,14 +157,44 @@ def _rng_for_attempt(seed: int, attempt: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, attempt))))
 
 
-def is_connected(g: Graph) -> bool:
-    order, seen = [0], {0}
-    for v in order:  # breadth first: the loop reaches the vertices it appends
+def _breadth_first(g: Graph, root: int) -> list[int]:
+    """The vertices reachable from root in breadth-first discovery order, neighbours in ascending index."""
+    order, seen = [root], {root}
+    for v in order:  # the loop reaches the vertices it appends
         for w in g.adjacency[v]:
             if w not in seen:
                 seen.add(w)
                 order.append(w)
-    return len(order) == g.n
+    return order
+
+
+def is_connected(g: Graph) -> bool:
+    return len(_breadth_first(g, 0)) == g.n
+
+
+@dataclass(frozen=True)
+class BfsOrder:
+    seq: tuple[int, ...]
+    oriented_edges: tuple[tuple[int, int], ...]
+
+
+def bfs_order(g: Graph, root: int = 0) -> BfsOrder:
+    """Breadth-first discovery order from root, neighbors in ascending index.
+
+    Every edge is oriented from its earlier-discovered endpoint and the edge
+    list is sorted by (head seq, tail seq), which fixes the gate order.
+    """
+    if not 0 <= root < g.n:
+        raise GraphError(f"root {root} out of range")
+    order = _breadth_first(g, root)
+    if len(order) != g.n:
+        raise GraphError("graph is disconnected; BFS orientation undefined")
+    seq = [0] * g.n
+    for i, v in enumerate(order):
+        seq[v] = i
+    oriented = [(u, v) if seq[u] < seq[v] else (v, u) for u, v in g.edges]
+    oriented.sort(key=lambda e: (seq[e[0]], seq[e[1]]))
+    return BfsOrder(seq=tuple(seq), oriented_edges=tuple(oriented))
 
 
 def gen_random_regular(n: int, d: int, seed: int) -> Graph:
@@ -277,7 +314,7 @@ def cut_table(g: Graph) -> np.ndarray:
 
 
 def brute_force_max_cut(g: Graph, cap: int = STATE_CAP_DEFAULT) -> CutOracleResult:
-    """Exhaustive optimum and every maximizer, read off the full cut table."""
+    """Exhaustive optimum and its first maximizer, read off the full cut table."""
     if g.n > cap:
         raise GraphError(cap_message(g.n, cap))
     return CutOracleResult.from_table(cut_table(g))

@@ -35,16 +35,10 @@ class MaxCutHamiltonian:
 
 @dataclass(frozen=True)
 class NormBounds:
-    """Operator-norm bounds and the step-size constants A, B, C.
+    """The step-size constants A, B, C of max_step_size, from the exact norm of H_f (the diagonal max)
+    and triangle-inequality upper bounds on the mixer and full norms summed from per-term coefficients.
+    Upper-bounding only shrinks the admissible step, so the error guarantee survives."""
 
-    hf_norm is exact (diagonal max); mixer and full norms are triangle-
-    inequality upper bounds from per-term coefficients. Upper-bounding only
-    shrinks the admissible step, so the error guarantee survives.
-    """
-
-    hf_norm: float
-    mixer_norm: float
-    full_norm: float
     A: float
     B: float
     C: float
@@ -116,14 +110,8 @@ def error_constants(
     mixer_but_last = mixer_sum - (abs(float(mixer_coefficients[-1])) if len(mixer_coefficients) else 0.0)
     full = eta_sum + mixer_sum
     combined_bound = eta_sum + mixer_but_last
-    a_const = 2.0 * hf * mixer_sum * full
-    b_const = 2.0 * hf * (eta_sum + mixer_but_last + combined_bound)
-    c_const = full
     return NormBounds(
-        hf_norm=hf,
-        mixer_norm=mixer_sum,
-        full_norm=full,
-        A=a_const,
-        B=b_const,
-        C=c_const,
+        A=2.0 * hf * mixer_sum * full,
+        B=2.0 * hf * (eta_sum + mixer_but_last + combined_bound),
+        C=full,
     )

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from lyapcut.certificates import potential_value
-from lyapcut.dynamics import RunConfig, beta_schedule, bfs_order, run_light_cone, run_qaoa_feedback
+from lyapcut.dynamics import RunConfig, beta_schedule, run_light_cone, run_qaoa_feedback
 from lyapcut.experiments import SuiteSpec, convergence_experiment, fit_loglog, suite_instances
 from lyapcut.graphs import (
     Graph,
+    bfs_order,
     brute_force_max_cut,
     edge_coloring,
     enumerate_cubic,

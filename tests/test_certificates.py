@@ -161,7 +161,7 @@ class TestCertificates:
         assert (certs.two.x, certs.two.y) == (1.0, 0.0)
         assert certs.one.lam > 0
 
-    BOUNDS = NormBounds(0, 0, 0, A=1.0, B=1.0, C=1.0)
+    BOUNDS = NormBounds(A=1.0, B=1.0, C=1.0)
 
     def first_pass(self, certs, epsilon=1e-3, dt_max=0.1):
         return min(dt_max, max_step_size(self.BOUNDS, epsilon, x_next=certs.two.x))
@@ -184,7 +184,7 @@ class TestCertificates:
 
     def test_step_size_is_capped_by_dt_max(self):
         certs = Certificates(self.M)
-        vacuous = NormBounds(0, 0, 0, A=0.0, B=0.0, C=0.0)
+        vacuous = NormBounds(A=0.0, B=0.0, C=0.0)
         assert certs.step_size(vacuous, 1e-3, 0.05, alpha=1.0, o=1.0, hf=1.5) == 0.05
 
 
@@ -247,11 +247,11 @@ class TestExactIdentities:
 
 class TestMaxStepSize:
     def test_reduces_to_epsilon(self):
-        nb = NormBounds(0, 0, 0, A=0.0, B=1.0, C=0.0)
+        nb = NormBounds(A=0.0, B=1.0, C=0.0)
         assert max_step_size(nb, 1e-3) == pytest.approx(1e-3)
 
     def test_small_epsilon_sqrt_asymptotics(self):
-        nb = NormBounds(0, 0, 0, A=4.0, B=0.0, C=0.0)
+        nb = NormBounds(A=4.0, B=0.0, C=0.0)
         for eps in [1e-6, 1e-8]:
             assert max_step_size(nb, eps) == pytest.approx(math.sqrt(eps / 4.0))
 
@@ -266,15 +266,15 @@ class TestMaxStepSize:
         assert 0 < got < math.inf
 
     def test_two_param_variant_shrinks_with_x(self):
-        nb = NormBounds(0, 0, 0, A=1.0, B=1.0, C=1.0)
+        nb = NormBounds(A=1.0, B=1.0, C=1.0)
         assert max_step_size(nb, 1e-3, x_next=2.0) < max_step_size(nb, 1e-3, x_next=1.0)
 
     def test_degenerate_returns_infinity(self):
-        nb = NormBounds(0, 0, 0, A=0.0, B=0.0, C=0.0)
+        nb = NormBounds(A=0.0, B=0.0, C=0.0)
         assert max_step_size(nb, 1e-3) == math.inf
 
     def test_bad_inputs(self):
-        nb = NormBounds(0, 0, 0, A=1.0, B=1.0, C=1.0)
+        nb = NormBounds(A=1.0, B=1.0, C=1.0)
         with pytest.raises(ValueError):
             max_step_size(nb, 0.0)
         with pytest.raises(ValueError):

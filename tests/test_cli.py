@@ -9,7 +9,7 @@ from lyapcut import cli, experiments
 from lyapcut.cli import main
 from lyapcut.dynamics import BetaParams, RunConfig
 from lyapcut.experiments import SuiteSpec
-from lyapcut.graphs import Graph, brute_force_max_cut, make_graph
+from lyapcut.graphs import Graph, brute_force_max_cut, cut_table, make_graph
 
 
 def test_gen_then_oracle_round_trip(tmp_path, capsys):
@@ -29,7 +29,7 @@ def test_gen_then_oracle_round_trip(tmp_path, capsys):
     (make_graph("erdos_renyi", 9, seed=2), 6, "optimum 13\nmaximizer 011110000\n"),
 ], ids=["complete6", "erdos_renyi9"])
 def test_oracle_prints_the_optimum_and_the_first_of_several_maximizers(tmp_path, capsys, g, maximizers, lines):
-    assert len(brute_force_max_cut(g).maximizers) == maximizers
+    assert int((cut_table(g) == brute_force_max_cut(g).optimum).sum()) == maximizers
     path = tmp_path / "g.txt"
     path.write_text(g.to_text())
     assert main(["oracle", "--graph", str(path)]) == 0
@@ -174,6 +174,7 @@ def test_config_file_unknown_key_names_the_key(tmp_path):
     ("rounds", 0, r"rounds must be >= 1, got 0 in .*cfg\.json$"),
     ("n_list", 10, r"n_list 10 in .*cfg\.json must be a JSON list$"),
     ("n_list", [6, "8"], r"n_list '8' in .*cfg\.json must be an integer$"),
+    ("n_list", [6, 6], r"^n_list repeats n=6, got \(6, 6\) in .*cfg\.json$"),
     ("beta", {"c": "x"}, r"c 'x' in .*cfg\.json \(beta\) must be a number$"),
     ("beta", 3, r"beta 3 in .*cfg\.json must be a JSON object$"),
     ("dt", True, r"dt True in .*cfg\.json must be a number$"),
@@ -186,7 +187,7 @@ def test_config_file_unknown_key_names_the_key(tmp_path):
     ("beta", {"floor": 1.5}, r"^beta floor must be finite and in \[0, 1\], got 1\.5 in .*cfg\.json$"),
     ("beta", {"rate": math.nan}, r"^beta rate must be finite and >= 0, got nan in .*cfg\.json$"),
 ], ids=["ansatz", "family", "adaptive_dt", "lightcone_feedback", "exhaustive_cubic", "rounds_text",
-        "rounds_zero", "n_list_scalar", "n_list_item", "beta_c", "beta_scalar", "dt_bool", "instances_zero",
+        "rounds_zero", "n_list_scalar", "n_list_item", "n_list_repeat", "beta_c", "beta_scalar", "dt_bool", "instances_zero",
         "state_cap_below_two", "state_cap_above_the_default", "dt_nan", "epsilon_inf", "beta_c_negative",
         "beta_floor_above_one", "beta_rate_nan"])
 def test_config_file_bad_value_names_key_value_and_choices(tmp_path, key, value, message):
@@ -222,7 +223,8 @@ def test_gen_family_check_names_family_and_reason(tmp_path, capsys):
 @pytest.mark.parametrize("targets, message", [
     ("0.6,x", r"argument --targets: '0\.6,x': could not convert string to float: 'x'"),
     ("1.5", r"argument --targets: '1\.5': targets must lie in \(0, 1\), got \(1\.5,\)"),
-], ids=["not_a_number", "out_of_range"])
+    ("0.8,0.8", r"argument --targets: '0\.8,0\.8': targets repeat 0\.8, got \(0\.8, 0\.8\)"),
+], ids=["not_a_number", "out_of_range", "repeated"])
 def test_convergence_bad_targets_name_the_flag(tmp_path, capsys, targets, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n_list": [6], "rounds": 5}))
@@ -435,11 +437,21 @@ TWO_EDGES_APART = Graph.from_edges(4, [(0, 1), (2, 3)]).to_text()
     ("path25.txt", PATH_25, "oracle", r"^lyapcut oracle --graph {path}: n=25 is above state cap 24$"),
     ("path25.txt", PATH_25, "run", r"^lyapcut run --graph {path}: n=25 is above state cap 24$"),
     ("apart.txt", TWO_EDGES_APART, "lightcone", r"^lyapcut run --graph {path}: graph is disconnected"),
+    # None makes the path a directory; bytes are written as they are.
+    ("graphs", None, "run", r"^lyapcut run --graph: graph file {path}: cannot read: Is a directory$"),
+    ("graphs", None, "oracle", r"^lyapcut oracle --graph: graph file {path}: cannot read: Is a directory$"),
+    ("latin1.txt", b"3 2\n0 1\n1 2 \xe9\n", "run",
+     r"^lyapcut run --graph: graph file {path}: 'utf-8' codec can't decode byte 0xe9"),
 ], ids=["edge_count", "token", "three_numbers", "json_no_edges", "bad_json", "edge_range", "oracle_cap",
-        "run_cap", "lightcone_disconnected"])
+        "run_cap", "lightcone_disconnected", "run_directory", "oracle_directory", "not_utf8"])
 def test_graph_the_command_cannot_take_names_the_graph(tmp_path, capsys, name, text, command, message):
     path = tmp_path / name
-    path.write_text(text)
+    if text is None:
+        path.mkdir()
+    elif isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     argv = {"oracle": ["oracle", "--graph", str(path)],
             "run": ["run", "--graph", str(path), "--rounds", "2", "--out", str(tmp_path / "out")],
             "lightcone": ["run", "--graph", str(path), "--ansatz", "lightcone", "--rounds", "2",
@@ -448,6 +460,49 @@ def test_graph_the_command_cannot_take_names_the_graph(tmp_path, capsys, name, t
         main(argv)
     assert capsys.readouterr().out == ""
     assert not (tmp_path / "out").exists()
+
+
+# The arguments of each command but --out, with a config small enough to run.
+PATH_CASE_ARGS = {"run": ["--graph", "regular3:n=4,seed=0", "--rounds", "2"], "suite": ["--config", "{config}"],
+                  "convergence": ["--config", "{config}", "--targets", "0.5"], "gen": ["--family", "regular3", "--n", "4"]}
+
+
+@pytest.mark.parametrize("command, flag, kind, message", [
+    ("run", "--out", "file", r"^lyapcut run --out {path}: cannot make the directory: File exists$"),
+    ("run", "--out", "under_a_file", r"^lyapcut run --out {path}: cannot make the directory: Not a directory$"),
+    ("suite", "--out", "file", r"^lyapcut suite --out {path}: cannot make the directory: File exists$"),
+    ("convergence", "--out", "file", r"^lyapcut convergence --out {path}: cannot make the directory: File exists$"),
+    ("gen", "--out", "directory", r"^lyapcut gen --out {path}: cannot write: Is a directory$"),
+    ("suite", "--config", "missing", r"^--config {path}: cannot read: No such file or directory$"),
+    ("convergence", "--config", "directory", r"^--config {path}: cannot read: Is a directory$"),
+    ("suite", "--config", "not_utf8", r"^--config {path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9"),
+], ids=["run_out_file", "run_out_under_a_file", "suite_out_file", "convergence_out_file", "gen_out_directory",
+        "suite_config_missing", "convergence_config_directory", "suite_config_not_utf8"])
+def test_path_the_command_cannot_read_or_write_names_flag_and_path(tmp_path, capsys, command, flag, kind, message):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n_list": [6], "rounds": 3}))
+    bad = tmp_path / "bad"
+    if kind == "file":
+        bad.write_text("kept\n")
+    elif kind == "under_a_file":
+        bad.write_text("kept\n")
+        bad = bad / "out"
+    elif kind == "directory":
+        bad.mkdir()
+    elif kind == "not_utf8":
+        bad.write_bytes(b'{"n_list": [6], "family": "\xe9"}')
+    out = tmp_path / "out"
+    args = [arg.format(config=bad if flag == "--config" else config) for arg in PATH_CASE_ARGS[command]]
+    argv = [command, *args, "--out", str(bad if flag == "--out" else out)]
+    with pytest.raises(SystemExit, match=message.format(path=re.escape(str(bad)))):
+        main(argv)
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"cfg.json", *(("bad",) if kind != "missing" else ())})
+    if kind in ("file", "under_a_file"):
+        assert (tmp_path / "bad").read_text() == "kept\n"
+    if kind == "directory":
+        assert not any(bad.iterdir())
 
 
 def test_graph_id_with_a_path_separator_is_refused_before_the_run(tmp_path, monkeypatch):

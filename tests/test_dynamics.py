@@ -9,6 +9,7 @@ from lyapcut.certificates import potential_value
 from lyapcut.graphs import (
     Graph,
     GraphError,
+    bfs_order,
     brute_force_max_cut,
     gen_bipartite,
     gen_erdos_renyi,
@@ -20,7 +21,6 @@ from lyapcut.dynamics import (
     Mixer,
     RunConfig,
     beta_schedule,
-    bfs_order,
     run_light_cone,
     run_qaoa_feedback,
 )
@@ -75,6 +75,8 @@ BAD_SETTINGS = {
     "floor_negative": ("floor", -0.1, r"^beta floor must be finite and in \[0, 1\], got -0\.1$"),
     "rate_negative": ("rate", -1.0, r"^beta rate must be finite and >= 0, got -1\.0$"),
     "rate_inf": ("rate", math.inf, r"^beta rate must be finite and >= 0, got inf$"),
+    "rounds_float": ("rounds", 2.5, r"^rounds must be an integer, got 2\.5$"),
+    "rounds_bool": ("rounds", True, r"^rounds must be an integer, got True$"),
 }
 
 
@@ -82,7 +84,7 @@ class TestRunSettings:
     @pytest.mark.parametrize("name, value, message", BAD_SETTINGS.values(), ids=BAD_SETTINGS)
     def test_out_of_range_values_are_refused_naming_field_and_value(self, name, value, message):
         with pytest.raises(ValueError, match=message):
-            RunConfig(**{name: value}) if name in ("dt", "epsilon") else BetaParams(**{name: value})
+            RunConfig(**{name: value}) if name in ("dt", "epsilon", "rounds") else BetaParams(**{name: value})
 
     def test_range_ends_are_accepted(self):
         for params in (BetaParams(c=0.0), BetaParams(floor=0.0), BetaParams(floor=1.0), BetaParams(rate=0.0)):
@@ -448,7 +450,7 @@ def random_mirrored(n, rng):
 
 def light_cone_mixer(g):
     edges = bfs_order(g).oriented_edges
-    return Mixer(build_maxcut(g), sum_yz(edges), yz_edges=edges)
+    return Mixer(build_maxcut(g), yz_edges=edges)
 
 
 # Oriented YZ edge lists (head, tail) on n qubits that put qubit n-1 at a head,
@@ -495,7 +497,7 @@ class TestMixerFeedbackTables:
     def test_observe_matches_the_dense_commutator(self, orientation, n):
         edges = tuple(ORIENTATIONS[orientation](n))
         g = Graph.from_edges(n, sorted({(min(e), max(e)) for e in edges}))
-        mixer = Mixer(build_maxcut(g), sum_yz(edges), yz_edges=edges)
+        mixer = Mixer(build_maxcut(g), yz_edges=edges)
         heads = {j for j, _ in edges}
         assert (n - 1 in heads) == (orientation == "head_on_top")
         assert any(n - 1 in e for e in edges) == (orientation != "interior_only")
@@ -610,6 +612,27 @@ class TestMixerWorkspace:
         assert vars(mixer).keys() == {f.name for f in dataclasses.fields(Mixer)}
 
     @pytest.mark.parametrize("runner", [run_qaoa_feedback, run_light_cone])
+    def test_the_layer_declares_the_generator(self, monkeypatch, cubic10, runner):
+        # The generators the runners passed before the Mixer set its own: sum_j X_j for the
+        # transverse field, the YZ sum over the BFS edge order for the light cone.
+        g, h, oracle = cubic10
+        mixers = []
+        run_loop = dynamics._run_loop
+        monkeypatch.setattr(dynamics, "_run_loop", lambda mixer, *args: mixers.append(mixer) or run_loop(mixer, *args))
+        runner(g, h, RunConfig(rounds=2), oracle)
+        (mixer,) = mixers
+        edges = bfs_order(g).oriented_edges
+        expect = sum_x(g.n) if runner is run_qaoa_feedback else sum_yz(edges)
+        assert mixer.generator == expect
+        assert Mixer(h, yz_edges=mixer.yz_edges).generator == expect
+        assert mixer.yz_edges == (None if runner is run_qaoa_feedback else edges)
+
+    def test_a_generator_argument_is_refused(self, cubic10):
+        g, h, _ = cubic10
+        with pytest.raises(TypeError, match="generator"):
+            Mixer(h, generator=sum_x(g.n))
+
+    @pytest.mark.parametrize("runner", [run_qaoa_feedback, run_light_cone])
     def test_every_kernel_call_of_a_run_gets_the_one_workspace(self, monkeypatch, cubic10, runner):
         g, h, oracle = cubic10
         seen = []
@@ -650,7 +673,7 @@ class TestMixerWorkspace:
         # The smallest state-sized temporary, half the stored amplitudes as float64, is
         # 128 KiB at n=16 and 512 KiB at n=18; the bounds do not grow with n.
         g = gen_random_regular(n, 3, seed=1)
-        mixer = light_cone_mixer(g) if ansatz == "light_cone" else Mixer(build_maxcut(g), sum_x(n))
+        mixer = light_cone_mixer(g) if ansatz == "light_cone" else Mixer(build_maxcut(g))
         state = init_plus(n, mirrored=True)
         workspace = mixer.workspace(state)
         mixer.observe(state, workspace)

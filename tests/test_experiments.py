@@ -73,6 +73,21 @@ class TestSuiteSpec:
         with pytest.raises(ValueError, match=rf"^{family} graphs of n=1 \(n_list\): need at least 2 vertices, got n=1$"):
             small_spec(family=family, n_list=(8, 1))
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(n_list=(8, 8)), r"^n_list repeats n=8, got \(8, 8\)$"),
+        (dict(n_list=(6, 8, 6)), r"^n_list repeats n=6, got \(6, 8, 6\)$"),
+        (dict(n_list=(4, 4), exhaustive_cubic=True), r"^n_list repeats n=4, got \(4, 4\)$"),
+        (dict(n_list=(8.0,)), r"^n_list must be an integer, got 8\.0$"),
+        (dict(n_list=(8, True)), r"^n_list must be an integer, got True$"),
+        (dict(instances_per_n=1.5), r"^instances_per_n must be an integer, got 1\.5$"),
+        (dict(instances_per_n=True), r"^instances_per_n must be an integer, got True$"),
+    ], ids=["repeat", "repeat_apart", "repeat_exhaustive", "float_size", "bool_size", "float_instances",
+            "bool_instances"])
+    def test_grid_values_are_distinct_integers(self, overrides, message):
+        # A repeated size would run its instances twice under one graph id, each overwriting the other's files.
+        with pytest.raises(ValueError, match=message):
+            small_spec(**overrides)
+
     def test_exhaustive_cubic_yields_every_class(self):
         spec = small_spec(exhaustive_cubic=True, n_list=(4, 6))
         assert [gid for gid, _ in suite_instances(spec)] == [
@@ -134,7 +149,7 @@ class TestRunSuite:
         for graph_id, g in suite_instances(spec):
             oracle = brute_force_max_cut(g)
             summary = json.loads((tmp_path / f"{graph_id}.json").read_text())
-            side = "".join(str(oracle.maximizers[0] >> v & 1) for v in range(g.n))
+            side = "".join(str(oracle.maximizer >> v & 1) for v in range(g.n))
             assert summary["oracle"] == {"optimum": oracle.optimum, "one_maximizer": side}
 
     def test_summary_maximizer_uses_vertex_order(self, tmp_path):
@@ -143,7 +158,7 @@ class TestRunSuite:
         g = Graph.from_edges(3, [(0, 1), (0, 2)])
         cfg = RunConfig(rounds=2)
         oracle, traces = solve_instance(g, cfg)
-        assert oracle == CutOracleResult(optimum=2, maximizers=(1, 6))
+        assert oracle == CutOracleResult(optimum=2, maximizer=1)
         write_summary(tmp_path / "s.json", "s", g, cfg, None, oracle, traces)
         assert json.loads((tmp_path / "s.json").read_text())["oracle"]["one_maximizer"] == "100"
 
@@ -255,6 +270,13 @@ class TestConvergence:
     def test_rejects_bad_targets(self):
         with pytest.raises(ValueError):
             convergence_experiment(small_spec(), targets=(1.2,))
+
+    def test_repeated_target_is_refused_before_any_run(self, runner_calls):
+        # A repeated target would write each of its records twice and count them twice in the fit.
+        _, calls = runner_calls
+        with pytest.raises(ValueError, match=r"^targets repeat 0\.7, got \(0\.6, 0\.7, 0\.7\)$"):
+            convergence_experiment(small_spec(), targets=[0.7, 0.6, 0.7])
+        assert calls == []
 
     def test_worker_pool_matches_sequential(self):
         spec = small_spec(family="erdos_renyi", n_list=(6, 8), instances_per_n=2, config=RunConfig(rounds=300))

@@ -10,6 +10,7 @@ from lyapcut.graphs import (
     Graph,
     GraphError,
     are_isomorphic,
+    bfs_order,
     brute_force_max_cut,
     cut_table,
     edge_coloring,
@@ -182,13 +183,14 @@ class TestOracle:
     def test_petersen_golden(self, petersen):
         res = brute_force_max_cut(petersen)
         assert res.optimum == 12  # frozen from this oracle's own 2^10 enumeration
-        assert len(res.maximizers) == 10
+        assert int((cut_table(petersen) == res.optimum).sum()) == 10
 
     def test_maximizers_closed_under_flip(self, petersen):
         res = brute_force_max_cut(petersen)
         full = (1 << petersen.n) - 1
-        maxset = set(res.maximizers)
+        maxset = {x for x, cut in enumerate(cut_table(petersen).tolist()) if cut == res.optimum}
         assert maxset == {x ^ full for x in maxset}
+        assert res.maximizer == min(maxset)
 
     def test_matches_naive_enumeration(self):
         for seed in range(4):
@@ -258,7 +260,7 @@ class TestCutTable:
         best = max(naive)
         res = brute_force_max_cut(g)
         assert res.optimum == best
-        assert res.maximizers == tuple(x for x, c in enumerate(naive) if c == best)
+        assert res.maximizer == naive.index(best)
 
     @pytest.mark.parametrize("family, n", family_sizes(range(2, 13)))
     def test_families_agree_with_naive_count(self, family, n):
@@ -278,6 +280,42 @@ class TestCutTable:
         finally:
             tracemalloc.stop()
         assert peak <= table.nbytes + (64 << 10)
+
+
+# Two components each: two edges apart, a triangle beside an edge, two paths, no edge at all,
+# and vertex 0 alone beside an edge, so the traversal from vertex 0 reaches nothing.
+TWO_COMPONENTS = {
+    "edges_apart": Graph.from_edges(4, [(0, 1), (2, 3)]),
+    "triangle_and_edge": Graph.from_edges(5, [(0, 2), (2, 4), (0, 4), (1, 3)]),
+    "two_paths": Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+    "no_edge": Graph(n=2, edges=()),
+    "root_alone": Graph.from_edges(3, [(1, 2)]),
+}
+
+
+class TestOneTraversal:
+    """is_connected and bfs_order read one breadth-first traversal, so they agree."""
+
+    @staticmethod
+    def check_agreement(g):
+        try:
+            order = bfs_order(g)
+        except GraphError:
+            assert not is_connected(g)
+        else:
+            assert is_connected(g)
+            assert sorted(order.seq) == list(range(g.n))
+
+    @pytest.mark.parametrize("family, n", family_sizes(range(2, 13)))
+    def test_generated_families(self, family, n):
+        self.check_agreement(make_graph(family, n, seed=3))
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT) + sorted(TWO_COMPONENTS))
+    def test_hand_built_and_two_component_graphs(self, name):
+        g = HAND_BUILT.get(name) or TWO_COMPONENTS[name]
+        self.check_agreement(g)
+        if name in TWO_COMPONENTS:
+            assert not is_connected(g)
 
 
 class TestMakeGraph:

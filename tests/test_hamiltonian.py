@@ -58,7 +58,7 @@ class TestBuildMaxcut:
     def test_norm_computed_on_first_use_and_kept(self, petersen):
         h = build_maxcut(petersen)
         assert "hf_norm" not in vars(h)
-        assert error_constants(h, [1.0], [1.0]).hf_norm == 12.0
+        assert error_constants(h, [1.0], [1.0]).A == 2.0 * 12.0 * 1.0 * 2.0
         assert vars(h)["hf_norm"] == 12.0
 
     def test_norm_agrees_with_oracle(self):
@@ -142,9 +142,10 @@ class TestErrorConstants:
         h = build_maxcut(single_edge)
         alpha = 0.3
         nb = error_constants(h, mixer_coefficients=[alpha, alpha], eta_coefficients=[1.0])
-        assert nb.hf_norm == 1.0
-        assert nb.mixer_norm == pytest.approx(2 * alpha)
+        assert h.hf_norm == 1.0
+        # C is the summed coefficients' norm: the eta part 1 and the mixer part 2 alpha.
         assert nb.C == pytest.approx(1.0 + 2 * alpha)
+        assert nb.C - error_constants(h, [], [1.0]).C == pytest.approx(2 * alpha)
         assert nb.A == pytest.approx(2 * 1.0 * (2 * alpha) * (1.0 + 2 * alpha))
         # B drops the last mixer coefficient from both partial sums
         assert nb.B == pytest.approx(2 * 1.0 * ((1.0 + alpha) + (1.0 + alpha)))
@@ -154,8 +155,9 @@ class TestErrorConstants:
         eta = [1 / 3] * 3
         nb1 = error_constants(h, [0.1] * 3, eta)
         nb2 = error_constants(h, [0.2] * 3, eta)
-        assert nb2.mixer_norm == pytest.approx(2 * nb1.mixer_norm)
-        assert nb2.C - nb2.full_norm == nb1.C - nb1.full_norm == 0.0
+        eta_part = error_constants(h, [], eta).C
+        assert nb2.C - eta_part == pytest.approx(2 * (nb1.C - eta_part))
+        assert (nb1.C, nb2.C) == (sum(eta) + sum([0.1] * 3), sum(eta) + sum([0.2] * 3))
 
     def test_monotone_in_coefficients(self, petersen):
         h = build_maxcut(petersen)
@@ -168,5 +170,5 @@ class TestErrorConstants:
     def test_empty_mixer(self, single_edge):
         h = build_maxcut(single_edge)
         nb = error_constants(h, [], [1.0])
-        assert nb.A == 0.0 and nb.mixer_norm == 0.0
+        assert nb.A == 0.0 and nb.C == 1.0
         assert nb.B == pytest.approx(4.0)

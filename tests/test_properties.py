@@ -13,8 +13,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from lyapcut.certificates import potential_value
-from lyapcut.dynamics import BetaParams, RunConfig, bfs_order, run_light_cone, run_qaoa_feedback
-from lyapcut.graphs import brute_force_max_cut, gen_bipartite, gen_erdos_renyi, gen_random_regular
+from lyapcut.dynamics import BetaParams, RunConfig, run_light_cone, run_qaoa_feedback
+from lyapcut.graphs import bfs_order, brute_force_max_cut, gen_bipartite, gen_erdos_renyi, gen_random_regular
 from lyapcut.hamiltonian import build_maxcut
 from lyapcut.statevector import (
     apply_diagonal_phase,

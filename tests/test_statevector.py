@@ -23,8 +23,7 @@ from lyapcut.statevector import (
     Workspace,
 )
 
-from lyapcut.dynamics import bfs_order
-from lyapcut.graphs import Graph, gen_erdos_renyi
+from lyapcut.graphs import Graph, bfs_order, gen_erdos_renyi
 
 import dense_reference as dense
 
