@@ -20,6 +20,7 @@ from .dynamics import (
     run_qaoa_feedback,
 )
 from .experiments import (
+    CertificateCounts,
     ConvergenceRecord,
     FitResult,
     PlotSeries,

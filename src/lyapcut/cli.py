@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -169,14 +171,28 @@ def _targets(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"{text!r}: {err}") from None
 
 
+def _refuse_out(args, reason: str):
+    raise SystemExit(f"lyapcut {args.command} --out {args.out}: cannot make the directory: {reason}")
+
+
+def _check_output_dir(args) -> None:
+    """Stop on an --out that exists and is no directory, or that lies under such a path, and make
+    nothing; run and convergence call it before their runs, which may still refuse their input."""
+    out = Path(args.out)
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                _refuse_out(args, os.strerror(errno.EEXIST if path == out else errno.ENOTDIR))
+            return
+
+
 def _output_dir(args) -> Path:
     """The --out directory, made if absent; a path that cannot be a directory stops naming flag and path."""
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
-        raise SystemExit(f"lyapcut {args.command} --out {args.out}: "
-                         f"cannot make the directory: {err.strerror}") from None
+        _refuse_out(args, err.strerror)
     return out
 
 
@@ -191,14 +207,15 @@ def _cmd_run(args) -> int:
     except ValueError as err:
         # The fields that RunConfig checks (dt, rounds, epsilon) share their names with the flags.
         raise SystemExit(f"lyapcut run: --{err}") from None
+    _check_output_dir(args)
     try:
-        oracle, traces = solve_instance(g, cfg)
+        oracle, traces, counts = solve_instance(g, cfg)
     except GraphError as err:  # above the state cap, or disconnected under the light cone
         raise SystemExit(f"lyapcut run --graph {args.graph}: {err}") from None
     out = _output_dir(args)
     graph_id = args.graph_id or f"run_n{g.n:02d}"
     write_trace_csv(out / f"{graph_id}.csv", graph_id, g, traces)
-    write_summary(out / f"{graph_id}.json", graph_id, g, cfg, None, oracle, traces)
+    write_summary(out / f"{graph_id}.json", graph_id, g, cfg, None, oracle, traces, counts)
     last = traces[-1]
     print(f"{graph_id}: steps={last.step} hf/m={last.hf_over_m:.6f} "
           f"lambda_lb={last.lambda_lb:.6f} two_param_lb={last.two_param_lb:.6f} true_ratio={last.true_ratio:.6f}")
@@ -219,6 +236,7 @@ _FITS = (("all_points", None), ("per_n_max", None), ("per_n_quartile", 25.0), ("
 
 def _cmd_convergence(args) -> int:
     spec = _config_from_file(args.config)
+    _check_output_dir(args)
     try:
         records = convergence_experiment(spec, args.targets)
     except ValueError as err:  # such as an n_list entry above the state cap, refused before any run

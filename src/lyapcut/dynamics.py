@@ -124,11 +124,15 @@ class Mixer:
     The layer fixes the generator, which __post_init__ sets. yz_edges None is
     the transverse field, a phase layer of H_f / m then generator sum_j X_j;
     an edge tuple is the light cone's gate order, and the generator is the sum
-    of Y_j Z_k over those edges. With feedback the layer coefficient is
-    beta * O, which keeps the certificate increments nonnegative; without it
-    the literal beta is used and negative increments are clamped by the
-    trackers. Kernels are called through this module's names, so rebinding one
-    reaches every call.
+    of Y_j Z_k over those edges. When |tan theta| <= 1, theta = alpha dt, the
+    transverse-field layer applies each RX gate divided by cos theta, which
+    saves a pass over the state per gate, and puts the row's cos^n theta into
+    the phase layer's level table; the layer stays exact. Otherwise it applies
+    the plain gates, so that scale never falls below 2^(-n/2). With feedback
+    the layer coefficient is beta * O, which keeps the certificate increments
+    nonnegative; without it the literal beta is used and negative increments
+    are clamped by the trackers. Kernels are called through this module's
+    names, so rebinding one reaches every call.
 
     workspace(state) builds the run's one Workspace on the state buffer: the
     kernels' views, scratch buffer and feedback tables (one weight table per
@@ -152,9 +156,13 @@ class Mixer:
 
     def apply(self, state, alpha: float, dt: float, workspace: Optional[Workspace] = None) -> None:
         if self.yz_edges is None:
-            apply_diagonal_phase(state, self.h.diag, dt * (1.0 / self.h.m), workspace=workspace)
+            theta = alpha * dt
+            c = math.cos(theta)
+            unit = abs(math.sin(theta)) <= abs(c)
+            apply_diagonal_phase(state, self.h.diag, dt * (1.0 / self.h.m), workspace=workspace,
+                                 scale=c ** self.h.n if unit else 1.0)
             for j in range(self.h.n):
-                apply_rx(state, j, alpha * dt, workspace=workspace)
+                apply_rx(state, j, theta, workspace=workspace, unit_diagonal=unit)
         else:
             apply_yz_layer(state, self.yz_edges, alpha * dt, workspace=workspace)
 

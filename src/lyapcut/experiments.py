@@ -137,17 +137,38 @@ def suite_instances(spec: SuiteSpec):
             yield f"{spec.family}_n{n:02d}_i{k:02d}", g
 
 
+@dataclass(frozen=True)
+class CertificateCounts:
+    """The causes that a trace row's violation flag merges, counted apart over one run:
+    clamped increments of each tracker, and the round whose denominator collapse froze
+    the two-parameter tracker (None when it never froze)."""
+
+    one_param_clamps: int
+    two_param_clamps: int
+    freeze_round: Optional[int]
+
+
 def solve_instance(
     g: Graph,
     cfg: RunConfig,
     stop_at_true_ratio: Optional[float] = None,
-) -> tuple[CutOracleResult, list[StepTrace]]:
+) -> tuple[CutOracleResult, list[StepTrace], CertificateCounts]:
     """Run the configured ansatz on g; the oracle is read off the cut table of
-    the same Hamiltonian, so the table is built once."""
+    the same Hamiltonian, so the table is built once. The counts come from an
+    observer of the run's trackers."""
     h = build_maxcut(g, cap=cfg.state_cap)
     oracle = CutOracleResult.from_table(h.diag)
     runner = run_qaoa_feedback if cfg.ansatz == "qaoa_feedback" else run_light_cone
-    return oracle, runner(g, h, cfg, oracle, stop_at_true_ratio=stop_at_true_ratio)
+    seen = {}
+
+    def watch(p, hf, one, two):
+        seen["trackers"] = one, two
+        if two.frozen:
+            seen.setdefault("freeze_round", p)
+
+    traces = runner(g, h, cfg, oracle, observer=watch, stop_at_true_ratio=stop_at_true_ratio)
+    one, two = seen["trackers"]
+    return oracle, traces, CertificateCounts(one.violations, two.violations, seen.get("freeze_round"))
 
 
 def _fmt(value) -> str:
@@ -189,7 +210,7 @@ def read_trace_csv(path: Path) -> list[dict]:
 
 
 def write_summary(path: Path, graph_id: str, g: Graph, cfg: RunConfig, family: Optional[str],
-                  oracle: CutOracleResult, traces: Sequence[StepTrace]) -> None:
+                  oracle: CutOracleResult, traces: Sequence[StepTrace], counts: CertificateCounts) -> None:
     """Write the per-instance summary JSON; family is None for a graph from outside a suite grid."""
     last = traces[-1]
     summary = {
@@ -213,14 +234,14 @@ def write_summary(path: Path, graph_id: str, g: Graph, cfg: RunConfig, family: O
             "two_param_lb": last.two_param_lb,
             "true_ratio": last.true_ratio,
         },
-        "violations": sum(1 for tr in traces if tr.violation),
+        **dataclasses.asdict(counts),
     }
     atomic_write(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def _solve_each(spec: SuiteSpec, instances: Sequence[tuple[str, Graph]],
                 stop_at_true_ratio: Optional[float] = None):
-    """Yield (graph_id, g, oracle, traces) for each (graph_id, g) pair, in the given order.
+    """Yield (graph_id, g, oracle, traces, counts) for each (graph_id, g) pair, in the given order.
 
     With workers > 1 the runs fan out over a process pool, whose map keeps the
     input order and hands each result over as soon as it and its predecessors
@@ -237,8 +258,8 @@ def _solve_each(spec: SuiteSpec, instances: Sequence[tuple[str, Graph]],
         context = nullcontext()
     with context as pool:
         solved = (pool.map if pool else map)(solve_instance, graphs, repeat(spec.config), repeat(stop_at_true_ratio))
-        for (graph_id, g), (oracle, traces) in zip(instances, solved):
-            yield graph_id, g, oracle, traces
+        for (graph_id, g), result in zip(instances, solved):
+            yield graph_id, g, *result
 
 
 def run_suite(spec: SuiteSpec, output_dir) -> dict:
@@ -261,9 +282,9 @@ def run_suite(spec: SuiteSpec, output_dir) -> dict:
     snapshots = sorted(s for s in set(spec.snapshot_steps) if 1 <= s <= spec.config.rounds)
     at_snapshot = {}  # (n, step) -> the trace row at that step of each instance of size n, in grid order
     done = []
-    for graph_id, g, oracle, traces in _solve_each(spec, instances):
+    for graph_id, g, oracle, traces, counts in _solve_each(spec, instances):
         write_trace_csv(out / f"{graph_id}.csv", graph_id, g, traces)
-        write_summary(out / f"{graph_id}.json", graph_id, g, spec.config, spec.family, oracle, traces)
+        write_summary(out / f"{graph_id}.json", graph_id, g, spec.config, spec.family, oracle, traces, counts)
         done.append(graph_id)
         for s in snapshots:
             if len(traces) >= s:
@@ -315,7 +336,7 @@ def convergence_experiment(spec: SuiteSpec, targets: Iterable[float]) -> list[Co
     if over:
         raise ValueError(f"n_list: {cap_message(over[0], spec.config.state_cap)}")
     records = []
-    for graph_id, g, _, traces in _solve_each(spec, list(suite_instances(spec)), stop_at_true_ratio=targets[-1]):
+    for graph_id, g, _, traces, _ in _solve_each(spec, list(suite_instances(spec)), stop_at_true_ratio=targets[-1]):
         for target in targets:
             hit = next((tr.step for tr in traces if tr.true_ratio >= target), NOT_REACHED)
             records.append(ConvergenceRecord(graph_id=graph_id, n=g.n, target=target, rounds_to_target=hit))

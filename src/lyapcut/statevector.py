@@ -38,12 +38,13 @@ Workspace. A run's kernels rebuild nothing per call: Workspace.build(state,
 mixer, diag) makes, once per run, the feedback's weight tables, the strided
 views every gate and feedback term walks on the state's buffer, the
 light-cone layer's per-head copies and rotations, the phase level table, and
-one scratch buffer of the stored size that RX's partner products, the
-light-cone layer, e = -i D psi, the pair products, the phases and the
-probabilities of <H_f> share in turn. Every kernel but the single gates
-apply_ryz and apply_rzz takes it as the optional keyword workspace; without
-one a call builds what it needs and runs the same code, so both give the
-same bits. A workspace of another buffer, layout, diagonal or mixer raises
+one scratch buffer of the stored size that RX's partner products (the partner
+times -i sin theta, or times -i tan theta for the transverse-field row, whose
+cos^n theta the phase layer's level table carries), the light-cone layer,
+e = -i D psi, the pair products, the phases and the probabilities of <H_f>
+share in turn. Every kernel but the single gates apply_ryz and apply_rzz
+takes it as the optional keyword workspace; without one a call builds what
+it needs and runs the same code, so both give the same bits. A workspace of another buffer, layout, diagonal or mixer raises
 StateError. A numpy ufunc over a strided view that it cannot walk as one
 axis takes an iteration buffer of up to 8192 entries, so RX on every qubit
 but 0, 1 and the top one of a mirrored state copies its partner before it
@@ -237,8 +238,8 @@ def _partner(amps: np.ndarray, q: int, top: int) -> np.ndarray:
 
 def _rx_views(amps: np.ndarray, q: int, top: int, scratch: np.ndarray):
     """(partner, product, scratch, walk) of RX on qubit q: product is a view of scratch in
-    the partner's shape, which the call fills with partner * (-i sin) before it adds
-    scratch to amps.
+    the partner's shape, which the call fills with partner * (-i sin), or (-i tan) for a
+    unit-diagonal gate, before it adds scratch to amps.
 
     walk is True where the call multiplies partner into product in C order: for
     qubit top, whose partner is flat, and below qubit 2, whose halves are runs of
@@ -255,8 +256,15 @@ def _rx_views(amps: np.ndarray, q: int, top: int, scratch: np.ndarray):
     return partner, product, scratch, False
 
 
-def apply_rx(state: StateVector, qubit: int, theta: float, *, workspace: Workspace | None = None) -> StateVector:
+def apply_rx(state: StateVector, qubit: int, theta: float, *, workspace: Workspace | None = None,
+             unit_diagonal: bool = False) -> StateVector:
     """exp(-i theta X) on one qubit, i.e. [[cos, -i sin], [-i sin, cos]].
+
+    With unit_diagonal the call applies that gate divided by cos theta,
+    [[1, -i tan], [-i tan, 1]], and skips the pass that multiplies the state by
+    cos: a row of n such gates is the row of RX gates divided by cos^n theta, a
+    scalar that the caller applies elsewhere (the transverse-field Mixer puts it
+    in its phase layer). It is meant for |tan theta| <= 1.
 
     workspace is a Workspace of this state; without one the call builds its views
     and a scratch buffer of the stored size for itself.
@@ -268,12 +276,14 @@ def apply_rx(state: StateVector, qubit: int, theta: float, *, workspace: Workspa
     else:
         partner, product, scratch, walk = _gate(workspace, state, workspace.rx, qubit)
     c, s = math.cos(theta), math.sin(theta)
+    off = -1j * (s / c if unit_diagonal else s)
     if walk:
-        np.multiply(partner, -1j * s, out=product, order="C")
+        np.multiply(partner, off, out=product, order="C")
     else:
         product[...] = partner
-        scratch *= -1j * s
-    h *= c
+        scratch *= off
+    if not unit_diagonal:
+        h *= c
     h += scratch
     return state
 
@@ -509,13 +519,16 @@ def _gather_plan(amps: np.ndarray, half: np.ndarray, scratch: np.ndarray):
 
 
 def apply_diagonal_phase(state: StateVector, diag: np.ndarray, gamma: float, *,
-                         workspace: Workspace | None = None) -> StateVector:
-    """Multiply amplitude[x] by e^{-i gamma diag[x]}; exact for diagonal evolution.
+                         workspace: Workspace | None = None, scale: float = 1.0) -> StateVector:
+    """Multiply amplitude[x] by scale * e^{-i gamma diag[x]}; exact for diagonal evolution.
 
     Nonnegative integer tables go through a phase lookup so the per-step cost is
-    one gather instead of a full complex exponential sweep. workspace is a
-    Workspace of this state and diagonal, which holds the level table and the
-    gather's views; without one the call builds them for itself.
+    one gather instead of a full complex exponential sweep; scale then multiplies
+    the lookup table, one entry per level, and costs no pass over the state. Any
+    other table takes one more pass when scale is not 1. The transverse-field
+    Mixer passes the cos^n theta that its RX row leaves out (see apply_rx).
+    workspace is a Workspace of this state and diagonal, which holds the level
+    table and the gather's views; without one the call builds them for itself.
     """
     half = _diag_for(diag, state.n_qubits, state.mirrored)
     amps = state.amplitudes
@@ -529,8 +542,12 @@ def apply_diagonal_phase(state: StateVector, diag: np.ndarray, gamma: float, *,
         np.multiply(-1j * gamma, half, out=scratch)
         np.exp(scratch, out=scratch)
         amps *= scratch
+        if scale != 1.0:
+            amps *= scale
     else:
         table = np.exp(-1j * gamma * levels)
+        if scale != 1.0:
+            table *= scale
         for indices, phases, part, target in plan:
             indices[...] = part
             table.take(indices, out=phases, mode="clip")

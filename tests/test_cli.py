@@ -505,6 +505,25 @@ def test_path_the_command_cannot_read_or_write_names_flag_and_path(tmp_path, cap
         assert not any(bad.iterdir())
 
 
+@pytest.mark.parametrize("command", ["run", "convergence"])
+@pytest.mark.parametrize("kind, reason", [("file", "File exists"), ("under_a_file", "Not a directory")])
+def test_an_out_that_cannot_be_a_directory_stops_before_any_run(tmp_path, capsys, monkeypatch, command, kind,
+                                                                reason):
+    monkeypatch.setattr(experiments, "solve_instance", lambda *args, **kwargs: pytest.fail("ran an instance"))
+    monkeypatch.setattr(cli, "solve_instance", lambda *args, **kwargs: pytest.fail("ran the instance"))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n_list": [6], "rounds": 3}))
+    (tmp_path / "bad").write_text("kept\n")
+    bad = tmp_path / "bad" if kind == "file" else tmp_path / "bad" / "out"
+    args = [arg.format(config=config) for arg in PATH_CASE_ARGS[command]]
+    with pytest.raises(SystemExit, match=rf"^lyapcut {command} --out {re.escape(str(bad))}: "
+                                         rf"cannot make the directory: {reason}$"):
+        main([command, *args, "--out", str(bad)])
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad", "cfg.json"]
+    assert (tmp_path / "bad").read_text() == "kept\n"
+
+
 def test_graph_id_with_a_path_separator_is_refused_before_the_run(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "solve_instance", lambda *args, **kwargs: pytest.fail("ran the instance"))
     with pytest.raises(SystemExit, match=r"^lyapcut run: --graph-id 'a/b' must be a file name without a path sep"):

@@ -362,6 +362,7 @@ class TestRoundLoopKernels:
         energies = counting(monkeypatch, "expectation_diagonal")
         feedbacks = counting(monkeypatch, "feedback_observable")
         gates = counting(monkeypatch, mixer_kernel)
+        phases = counting(monkeypatch, "apply_diagonal_phase")
         norm_bounds = counting(monkeypatch, "error_constants")
         seen = []
         traces = runner(g, h, RunConfig(rounds=7, adaptive_dt=adaptive_dt), oracle,
@@ -371,6 +372,8 @@ class TestRoundLoopKernels:
         # n RX gates a round; the light cone's whole YZ row is one call.
         gates_per_round = g.n if mixer_kernel == "apply_rx" else 1
         assert len(gates) == 7 * gates_per_round
+        # One phase layer a round for the transverse field, which carries the row's cos^n theta.
+        assert len(phases) == (7 if mixer_kernel == "apply_rx" else 0)
         assert len(norm_bounds) == (7 if adaptive_dt else 0)
         assert seen == [h.m / 2] + [tr.hf_exp for tr in traces]
         # One path: every kernel call sees the mirrored half, never a full state.
@@ -586,6 +589,28 @@ class TestMixerFeedbackTables:
         workspace = mixer.workspace(state)
         with pytest.raises(StateError, match="another state buffer, layout"):
             mixer.observe(StateVector(7, state.amplitudes), workspace)
+
+
+class TestTransverseFieldLayer:
+    """One Mixer.apply is the exact per-gate layer: the phase, then RX on every qubit."""
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_matches_the_per_gate_row(self, n):
+        rng = np.random.default_rng(800 + n)
+        mixer = Mixer(build_maxcut(gen_erdos_renyi(n, 0.5, seed=n)))
+        dt = 0.08
+        # Both sides of pi/4, cos theta < 0 (with |tan theta| <= 1 and above it), and 0.
+        for theta in (0.0, 0.024, math.pi / 4 - 1e-3, math.pi / 4 + 1e-3, 1.3, 2.8, -0.5, -2.2):
+            half = rng.normal(size=1 << (n - 1)) + 1j * rng.normal(size=1 << (n - 1))
+            state = StateVector(n, half / (math.sqrt(2.0) * np.linalg.norm(half)), mirrored=True)
+            row = state.copy()
+            mixer.apply(state, theta / dt, dt, mixer.workspace(state))
+            sv.apply_diagonal_phase(row, mixer.h.diag, dt * (1.0 / mixer.h.m))
+            for j in range(n):
+                sv.apply_rx(row, j, theta / dt * dt)
+            if abs(math.tan(theta)) > 1:
+                assert np.array_equal(state.amplitudes, row.amplitudes)
+            assert np.max(np.abs(state.amplitudes - row.amplitudes)) < 1e-13
 
 
 class TestMixerWorkspace:

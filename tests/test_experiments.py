@@ -6,8 +6,9 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from lyapcut import experiments
-from lyapcut.dynamics import RunConfig
+from lyapcut.dynamics import BetaParams, RunConfig
 from lyapcut.experiments import (
+    CertificateCounts,
     ConvergenceRecord,
     PlotSeries,
     SuiteSpec,
@@ -22,7 +23,7 @@ from lyapcut.experiments import (
     write_summary,
     write_trace_csv,
 )
-from lyapcut.graphs import FAMILIES, CutOracleResult, Graph
+from lyapcut.graphs import FAMILIES, CutOracleResult, Graph, make_graph
 from lyapcut.graphs import brute_force_max_cut
 
 
@@ -130,7 +131,7 @@ class TestRunSuite:
         run_suite(spec, tmp_path)
         rows = read_trace_csv(tmp_path / "erdos_renyi_n06_i00.csv")
         (gid, g), = suite_instances(spec)
-        oracle, traces = solve_instance(g, spec.config)
+        oracle, traces, _ = solve_instance(g, spec.config)
         assert oracle == brute_force_max_cut(g)
         assert len(rows) == len(traces) == 25
         for row, tr in zip(rows, traces):
@@ -157,9 +158,9 @@ class TestRunSuite:
         # centred on vertex 0 is cut best by vertex 0 alone, index 1.
         g = Graph.from_edges(3, [(0, 1), (0, 2)])
         cfg = RunConfig(rounds=2)
-        oracle, traces = solve_instance(g, cfg)
+        oracle, traces, counts = solve_instance(g, cfg)
         assert oracle == CutOracleResult(optimum=2, maximizer=1)
-        write_summary(tmp_path / "s.json", "s", g, cfg, None, oracle, traces)
+        write_summary(tmp_path / "s.json", "s", g, cfg, None, oracle, traces, counts)
         assert json.loads((tmp_path / "s.json").read_text())["oracle"]["one_maximizer"] == "100"
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -254,6 +255,45 @@ class TestRunSuite:
             for row in read_trace_csv(tmp_path / f"{gid}.csv"):
                 assert row["lambda_lb"] <= row["true_ratio"] + 1e-9
                 assert row["two_param_lb"] <= row["true_ratio"] + 1e-9
+
+
+class TestCertificateCounts:
+    """The summary counts clamps per tracker and records the freeze round, which each
+    trace row's violation flag merges."""
+
+    # The freeze fixture of tests/test_dynamics.py::TestFreezePath: K2 with a large beta at fixed dt.
+    K2 = Graph.from_edges(2, [(0, 1)])
+    FREEZE = dict(dt=0.1, rounds=12, beta=BetaParams(c=20))
+
+    def summary(self, tmp_path, g, cfg):
+        oracle, traces, counts = solve_instance(g, cfg)
+        write_summary(tmp_path / "s.json", "s", g, cfg, None, oracle, traces, counts)
+        summary = json.loads((tmp_path / "s.json").read_text())
+        assert "violations" not in summary
+        assert {key: summary[key] for key in ("one_param_clamps", "two_param_clamps", "freeze_round")} == \
+            dataclasses.asdict(counts)
+        return traces, counts
+
+    def test_a_default_run_reads_zeros_and_null(self, tmp_path):
+        traces, counts = self.summary(tmp_path, make_graph("regular3", 8, seed=1), RunConfig(rounds=200))
+        assert counts == CertificateCounts(0, 0, None)
+        assert not any(tr.violation for tr in traces)
+
+    def test_a_light_cone_run_without_feedback_clamps(self, tmp_path):
+        # The literal beta overshoots: O is negative from round 194 on.
+        cfg = RunConfig(ansatz="light_cone", lightcone_feedback=False, rounds=300)
+        traces, counts = self.summary(tmp_path, make_graph("regular3", 6, seed=1), cfg)
+        # Nothing froze, so both trackers clamp exactly the rounds whose gain alpha O dt is negative.
+        negative = sum(tr.alpha * tr.O < 0 for tr in traces)
+        assert negative > 0
+        assert counts == CertificateCounts(negative, negative, None)
+        assert negative == sum(tr.violation for tr in traces)
+
+    @pytest.mark.parametrize("ansatz, freeze_round", [("qaoa_feedback", 8), ("light_cone", 1)])
+    def test_a_run_that_freezes_records_its_round(self, tmp_path, ansatz, freeze_round):
+        traces, counts = self.summary(tmp_path, self.K2, RunConfig(ansatz=ansatz, **self.FREEZE))
+        assert counts == CertificateCounts(0, 0, freeze_round)
+        assert [tr.step for tr in traces if tr.violation] == [freeze_round]
 
 
 class TestConvergence:

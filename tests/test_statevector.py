@@ -809,3 +809,45 @@ class TestYZLayer:
         before = state.amplitudes.copy()
         apply_yz_layer(state, [], 0.4)
         assert np.array_equal(state.amplitudes, before)
+
+
+# |tan theta| <= 1 on both sides of pi/4, with cos theta < 0, and theta = 0.
+UNIT_THETAS = (0.0, 0.3, math.pi / 4 - 1e-3, -math.pi / 4 + 1e-3, 0.8 * math.pi, -2.6)
+
+
+class TestUnitDiagonalRow:
+    """apply_rx(unit_diagonal=True) is RX divided by cos theta, and apply_diagonal_phase(scale=s)
+    is s times the phase, on every kind of qubit of full and mirrored states."""
+
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["full", "mirrored"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_unit_gate_times_cos_matches_dense(self, n, mirrored):
+        # Qubits 0 and 1 and the top of a mirrored state are walked; the others are copied.
+        rng = np.random.default_rng(700 + n + 20 * mirrored)
+        diag = naive_cut_table(n, connected_edges(n, rng))
+        for q in range(n):
+            for theta in UNIT_THETAS:
+                bare = random_mirrored(n, rng) if mirrored else random_sv(n, rng)
+                held = bare.copy()
+                ws = Workspace.build(held, sum_x(n), diag)
+                expect = dense.dense_rx(n, q, theta) @ bare.full()
+                apply_rx(bare, q, theta, unit_diagonal=True)
+                apply_rx(held, q, theta, workspace=ws, unit_diagonal=True)
+                assert np.array_equal(held.amplitudes, bare.amplitudes)
+                assert np.max(np.abs(math.cos(theta) * bare.full() - expect)) < 1e-12
+
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["full", "mirrored"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_scaled_phase_matches_dense(self, n, mirrored):
+        rng = np.random.default_rng(740 + n + 20 * mirrored)
+        for diag in (naive_cut_table(n, connected_edges(n, rng)), symmetric_float_diag(n, rng)):
+            for scale in (1.0, math.cos(0.3) ** n, -(math.cos(0.7) ** n)):
+                bare = random_mirrored(n, rng) if mirrored else random_sv(n, rng)
+                held = bare.copy()
+                ws = Workspace.build(held, sum_x(n), diag)
+                gamma = float(rng.uniform(-1.0, 1.0))
+                expect = scale * (dense.dense_diag_phase(diag, gamma) @ bare.full())
+                apply_diagonal_phase(bare, diag, gamma, scale=scale)
+                apply_diagonal_phase(held, diag, gamma, workspace=ws, scale=scale)
+                assert np.array_equal(held.amplitudes, bare.amplitudes)
+                assert np.max(np.abs(bare.full() - expect)) < 1e-12
