@@ -55,6 +55,7 @@ from .statevector import (
     StateVector,
     apply_diagonal_phase,
     apply_rx,
+    apply_rx_blocks,
     apply_ryz,
     apply_rzz,
     apply_yz_layer,

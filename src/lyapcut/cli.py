@@ -209,13 +209,13 @@ def _cmd_run(args) -> int:
         raise SystemExit(f"lyapcut run: --{err}") from None
     _check_output_dir(args)
     try:
-        oracle, traces, counts = solve_instance(g, cfg)
+        oracle, traces, counts, drift = solve_instance(g, cfg)
     except GraphError as err:  # above the state cap, or disconnected under the light cone
         raise SystemExit(f"lyapcut run --graph {args.graph}: {err}") from None
     out = _output_dir(args)
     graph_id = args.graph_id or f"run_n{g.n:02d}"
     write_trace_csv(out / f"{graph_id}.csv", graph_id, g, traces)
-    write_summary(out / f"{graph_id}.json", graph_id, g, cfg, None, oracle, traces, counts)
+    write_summary(out / f"{graph_id}.json", graph_id, g, cfg, None, oracle, traces, counts, drift)
     last = traces[-1]
     print(f"{graph_id}: steps={last.step} hf/m={last.hf_over_m:.6f} "
           f"lambda_lb={last.lambda_lb:.6f} two_param_lb={last.two_param_lb:.6f} true_ratio={last.true_ratio:.6f}")

@@ -10,7 +10,10 @@ The first measurement happens on the initial plus state, so round 1 of the
 transverse-field ansatz applies an identity mixer layer.
 A NaN or infinite feedback value or energy stops the run with StateError, and
 so does a squared norm that drifts from 1 by more than NORM_TOL, checked
-every NORM_CHECK_EVERY rounds and after the last one.
+every NORM_CHECK_EVERY rounds and after the last one. A runner calls its
+observer with (p, <H_f>, one-parameter tracker, two-parameter tracker) after
+round p, from p = 0 on the plus state, and its norm_observer once with the
+last check's drift | ||psi||^2 - 1 |.
 
 Both loops evolve the mirrored half of the state (see statevector): every
 layer and both mixers commute with the global bit flip, and so does |+>. The
@@ -35,6 +38,7 @@ from .statevector import (
     Workspace,
     apply_diagonal_phase,
     apply_rx,
+    apply_rx_blocks,
     apply_yz_layer,
     expectation_diagonal,
     feedback_observable,
@@ -46,6 +50,9 @@ from .statevector import (
 ANSATZE = ("qaoa_feedback", "light_cone")
 NORM_CHECK_EVERY = 64
 NORM_TOL = 1e-9
+# From this n on, the transverse-field layer applies RX on qubits 0..n-2 as one
+# apply_rx_blocks call; see Mixer.
+RX_BLOCKS_FROM_N = 13
 
 
 @dataclass(frozen=True)
@@ -128,7 +135,12 @@ class Mixer:
     transverse-field layer applies each RX gate divided by cos theta, which
     saves a pass over the state per gate, and puts the row's cos^n theta into
     the phase layer's level table; the layer stays exact. Otherwise it applies
-    the plain gates, so that scale never falls below 2^(-n/2). With feedback
+    the plain gates, so that scale never falls below 2^(-n/2). From n =
+    RX_BLOCKS_FROM_N on, the gates on qubits 0..n-2 are one apply_rx_blocks
+    call, a few single-thread BLAS products over the state, and qubit n-1
+    takes apply_rx; below it each gate is one apply_rx call, so runs up to
+    n = 12 keep their bytes. The switch was placed by timing whole rounds at
+    n = 12, 13 and 14 (CHANGES.md). With feedback
     the layer coefficient is beta * O, which keeps the certificate increments
     nonnegative; without it the literal beta is used and negative increments
     are clamped by the trackers. Kernels are called through this module's
@@ -161,7 +173,12 @@ class Mixer:
             unit = abs(math.sin(theta)) <= abs(c)
             apply_diagonal_phase(state, self.h.diag, dt * (1.0 / self.h.m), workspace=workspace,
                                  scale=c ** self.h.n if unit else 1.0)
-            for j in range(self.h.n):
+            gates = range(self.h.n)
+            if self.h.n >= RX_BLOCKS_FROM_N:
+                apply_rx_blocks(state, theta, workspace=workspace, unit_diagonal=unit)
+                # Qubit n-1 of a mirrored state, which the blocks leave out.
+                gates = range(self.h.n - state.mirrored, self.h.n)
+            for j in gates:
                 apply_rx(state, j, theta, workspace=workspace, unit_diagonal=unit)
         else:
             apply_yz_layer(state, self.yz_edges, alpha * dt, workspace=workspace)
@@ -177,6 +194,7 @@ def _run_loop(
     oracle: Optional[CutOracleResult],
     observer: Optional[Callable],
     stop_at_true_ratio: Optional[float],
+    norm_observer: Optional[Callable[[float], None]],
 ) -> list[StepTrace]:
     h = mixer.h
     m = h.m
@@ -232,7 +250,9 @@ def _run_loop(
             observer(p, hf_after, certs.one, certs.two)
         if stop_at_true_ratio is not None and true_ratio is not None and true_ratio >= stop_at_true_ratio:
             break
-    _check_norm(len(traces), state)
+    drift = _check_norm(len(traces), state)
+    if norm_observer is not None:
+        norm_observer(drift)
     return traces
 
 
@@ -242,11 +262,12 @@ def _check_finite(p: int, o_value: float, hf_value: float) -> None:
         raise StateError(f"non-finite value after round {p}: O={o_value}, <H_f>={hf_value}")
 
 
-def _check_norm(p: int, state) -> None:
-    """Stop a run whose squared norm after round p has drifted from 1 by more than NORM_TOL."""
+def _check_norm(p: int, state) -> float:
+    """The drift | ||psi||^2 - 1 | after round p; stop a run whose drift exceeds NORM_TOL."""
     drift = abs(state.norm() ** 2 - 1.0)
     if not drift <= NORM_TOL:
         raise StateError(f"norm drift {drift:.3e} after round {p} exceeds {NORM_TOL:g}")
+    return drift
 
 
 def _check_graph(g: Graph, h: MaxCutHamiltonian) -> None:
@@ -261,10 +282,12 @@ def run_qaoa_feedback(
     oracle: Optional[CutOracleResult] = None,
     observer: Optional[Callable] = None,
     stop_at_true_ratio: Optional[float] = None,
+    norm_observer: Optional[Callable[[float], None]] = None,
 ) -> list[StepTrace]:
-    """Transverse-field feedback ansatz: diagonal phase layer then n RX rotations."""
+    """Transverse-field feedback ansatz: diagonal phase layer then n RX rotations
+    (see Mixer); observer and norm_observer as in the module docstring."""
     _check_graph(g, h)
-    return _run_loop(Mixer(h), cfg, oracle, observer, stop_at_true_ratio)
+    return _run_loop(Mixer(h), cfg, oracle, observer, stop_at_true_ratio, norm_observer)
 
 
 def run_light_cone(
@@ -274,10 +297,11 @@ def run_light_cone(
     oracle: Optional[CutOracleResult] = None,
     observer: Optional[Callable] = None,
     stop_at_true_ratio: Optional[float] = None,
+    norm_observer: Optional[Callable[[float], None]] = None,
 ) -> list[StepTrace]:
     """BFS-oriented YZ-rotation ansatz with no commuting layer; the whole oriented
     YZ sum is one feedback term, and cfg.lightcone_feedback turns the feedback off."""
     _check_graph(g, h)
     edges = bfs_order(g, root=0).oriented_edges
     mixer = Mixer(h, feedback=cfg.lightcone_feedback, yz_edges=edges)
-    return _run_loop(mixer, cfg, oracle, observer, stop_at_true_ratio)
+    return _run_loop(mixer, cfg, oracle, observer, stop_at_true_ratio, norm_observer)

@@ -152,10 +152,11 @@ def solve_instance(
     g: Graph,
     cfg: RunConfig,
     stop_at_true_ratio: Optional[float] = None,
-) -> tuple[CutOracleResult, list[StepTrace], CertificateCounts]:
+) -> tuple[CutOracleResult, list[StepTrace], CertificateCounts, float]:
     """Run the configured ansatz on g; the oracle is read off the cut table of
     the same Hamiltonian, so the table is built once. The counts come from an
-    observer of the run's trackers."""
+    observer of the run's trackers, and the last item, the final norm drift
+    | ||psi||^2 - 1 |, from the run's norm_observer."""
     h = build_maxcut(g, cap=cfg.state_cap)
     oracle = CutOracleResult.from_table(h.diag)
     runner = run_qaoa_feedback if cfg.ansatz == "qaoa_feedback" else run_light_cone
@@ -166,9 +167,12 @@ def solve_instance(
         if two.frozen:
             seen.setdefault("freeze_round", p)
 
-    traces = runner(g, h, cfg, oracle, observer=watch, stop_at_true_ratio=stop_at_true_ratio)
+    def watch_norm(drift):
+        seen["drift"] = drift
+
+    traces = runner(g, h, cfg, oracle, observer=watch, stop_at_true_ratio=stop_at_true_ratio, norm_observer=watch_norm)
     one, two = seen["trackers"]
-    return oracle, traces, CertificateCounts(one.violations, two.violations, seen.get("freeze_round"))
+    return oracle, traces, CertificateCounts(one.violations, two.violations, seen.get("freeze_round")), seen["drift"]
 
 
 def _fmt(value) -> str:
@@ -210,7 +214,8 @@ def read_trace_csv(path: Path) -> list[dict]:
 
 
 def write_summary(path: Path, graph_id: str, g: Graph, cfg: RunConfig, family: Optional[str],
-                  oracle: CutOracleResult, traces: Sequence[StepTrace], counts: CertificateCounts) -> None:
+                  oracle: CutOracleResult, traces: Sequence[StepTrace], counts: CertificateCounts,
+                  final_norm_drift: float) -> None:
     """Write the per-instance summary JSON; family is None for a graph from outside a suite grid."""
     last = traces[-1]
     summary = {
@@ -235,13 +240,14 @@ def write_summary(path: Path, graph_id: str, g: Graph, cfg: RunConfig, family: O
             "true_ratio": last.true_ratio,
         },
         **dataclasses.asdict(counts),
+        "final_norm_drift": final_norm_drift,
     }
     atomic_write(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def _solve_each(spec: SuiteSpec, instances: Sequence[tuple[str, Graph]],
                 stop_at_true_ratio: Optional[float] = None):
-    """Yield (graph_id, g, oracle, traces, counts) for each (graph_id, g) pair, in the given order.
+    """Yield (graph_id, g, oracle, traces, counts, drift) for each (graph_id, g) pair, in the given order.
 
     With workers > 1 the runs fan out over a process pool, whose map keeps the
     input order and hands each result over as soon as it and its predecessors
@@ -282,9 +288,9 @@ def run_suite(spec: SuiteSpec, output_dir) -> dict:
     snapshots = sorted(s for s in set(spec.snapshot_steps) if 1 <= s <= spec.config.rounds)
     at_snapshot = {}  # (n, step) -> the trace row at that step of each instance of size n, in grid order
     done = []
-    for graph_id, g, oracle, traces, counts in _solve_each(spec, instances):
+    for graph_id, g, oracle, traces, counts, drift in _solve_each(spec, instances):
         write_trace_csv(out / f"{graph_id}.csv", graph_id, g, traces)
-        write_summary(out / f"{graph_id}.json", graph_id, g, spec.config, spec.family, oracle, traces, counts)
+        write_summary(out / f"{graph_id}.json", graph_id, g, spec.config, spec.family, oracle, traces, counts, drift)
         done.append(graph_id)
         for s in snapshots:
             if len(traces) >= s:
@@ -336,7 +342,7 @@ def convergence_experiment(spec: SuiteSpec, targets: Iterable[float]) -> list[Co
     if over:
         raise ValueError(f"n_list: {cap_message(over[0], spec.config.state_cap)}")
     records = []
-    for graph_id, g, _, traces, _ in _solve_each(spec, list(suite_instances(spec)), stop_at_true_ratio=targets[-1]):
+    for graph_id, g, _, traces, _, _ in _solve_each(spec, list(suite_instances(spec)), stop_at_true_ratio=targets[-1]):
         for target in targets:
             hit = next((tr.step for tr in traces if tr.true_ratio >= target), NOT_REACHED)
             records.append(ConvergenceRecord(graph_id=graph_id, n=g.n, target=target, rounds_to_target=hit))

@@ -40,23 +40,34 @@ views every gate and feedback term walks on the state's buffer, the
 light-cone layer's per-head copies and rotations, the phase level table, and
 one scratch buffer of the stored size that RX's partner products (the partner
 times -i sin theta, or times -i tan theta for the transverse-field row, whose
-cos^n theta the phase layer's level table carries), the light-cone layer,
-e = -i D psi, the pair products, the phases and the probabilities of <H_f>
-share in turn. Every kernel but the single gates apply_ryz and apply_rzz
-takes it as the optional keyword workspace; without one a call builds what
-it needs and runs the same code, so both give the same bits. A workspace of another buffer, layout, diagonal or mixer raises
-StateError. A numpy ufunc over a strided view that it cannot walk as one
-axis takes an iteration buffer of up to 8192 entries, so RX on every qubit
-but 0, 1 and the top one of a mirrored state copies its partner before it
-multiplies, and the light-cone layer moves each head's bits to the top with
-one assignment copy into the other buffer, after which every ufunc walks
-contiguous blocks. The feedback's pair products still take one such buffer
+cos^n theta the phase layer's level table carries), the RX row's block
+products, the light-cone layer, e = -i D psi, the pair products, the phases and the probabilities of <H_f>
+share in turn. That buffer and the state from init_plus start on a 64-byte
+boundary, so a run's speed does not hang on where the heap put them. Every
+kernel but the single gates apply_ryz and apply_rzz takes it as the optional
+keyword workspace; without one a call builds what it needs and runs the same
+code, so both give the same bits. A workspace of another buffer, layout,
+diagonal or mixer raises StateError. A numpy ufunc over a strided view that
+it cannot walk as one axis takes an iteration buffer of up to 8192 entries,
+so RX on every qubit but 0, 1 and the top one of a mirrored state copies its
+partner before it multiplies, and the light-cone layer moves each head's bits
+to the top with one assignment copy into the other buffer, after which every
+ufunc walks contiguous blocks. The feedback's pair products still take one such buffer
 (128 KiB) per call: copying their operands as well costs extra passes over
 the state.
+
+The RX row. apply_rx_blocks applies RX to every stored qubit below the
+mirrored top one as a few blocks of 3-5 qubits: each block is one np.matmul
+with the 2^k x 2^k matrix RX^(tensor k), whose entry (a, b) is
+cos^(k-w) (-i sin)^w, w = popcount(a ^ b), or (-i tan)^w for the unit-diagonal
+row, and the products alternate between the state's buffer and the scratch
+buffer. The kernel pins OpenBLAS to one thread around its matmuls: with two
+threads a product waits for a core that another process may hold.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -180,13 +191,21 @@ def sum_yz(oriented_edges) -> ObservableTerms:
     return ObservableTerms.from_pairs([(1.0, {j: "Y", k: "Z"}) for j, k in oriented_edges])
 
 
+def _aligned_empty(size: int) -> np.ndarray:
+    """An uninitialised complex128 buffer of size entries whose data starts on a 64-byte boundary."""
+    raw = np.empty(16 * size + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + 16 * size].view(np.complex128)
+
+
 def init_plus(n: int, cap: int = STATE_CAP_DEFAULT, mirrored: bool = False) -> StateVector:
-    """Uniform superposition: every amplitude equals 2^(-n/2)."""
+    """Uniform superposition: every amplitude equals 2^(-n/2), in a 64-byte aligned buffer."""
     if n > cap:
         raise StateError(cap_message(n, cap))
     if n < 1 + mirrored:
         raise StateError(f"need n >= {1 + mirrored}, got n={n}")
-    amp = np.full(1 << (n - mirrored), 2.0 ** (-n / 2), dtype=np.complex128)
+    amp = _aligned_empty(1 << (n - mirrored))
+    amp[...] = 2.0 ** (-n / 2)
     return StateVector(n_qubits=n, amplitudes=amp, mirrored=mirrored)
 
 
@@ -285,6 +304,114 @@ def apply_rx(state: StateVector, qubit: int, theta: float, *, workspace: Workspa
     if not unit_diagonal:
         h *= c
     h += scratch
+    return state
+
+
+def _block_sizes(stored: int) -> list[int]:
+    """The qubit counts of the RX row's blocks, from qubit 0 up: ceil(stored / 4) blocks,
+    as equal as they go and larger first, so 3-5 qubits each from 6 stored qubits on; one
+    block of them all below that."""
+    count = -(-stored // 4) if stored > 5 else 1
+    size, extra = divmod(stored, count)
+    return [size + (b < extra) for b in range(count)]
+
+
+def _rx_row(amps: np.ndarray, scratch: np.ndarray):
+    """The views of apply_rx_blocks on amps and scratch: (tables, products, copy).
+
+    tables holds per block size k the read-only table w(a, b) = popcount(a ^ b) and the
+    2^k x 2^k matrix buffer that the call fills from it. products holds per block of
+    qubits lo..lo+k-1 (matrix, source, destination, low), with source and destination
+    views from amps to scratch and back in turn: the block at qubit 0 is a (rows, 2^k)
+    view that the matrix multiplies from the right (low is True), every other block a
+    (rows, 2^k, 2^lo) view that it multiplies from the left; the matrix is symmetric. copy
+    is (amps, scratch) when an odd count of blocks leaves the row in scratch, else None.
+    """
+    stored = amps.size.bit_length() - 1
+    sizes = _block_sizes(stored)
+    tables = {}
+    for k in sorted(set(sizes)):
+        index = np.arange(1 << k)
+        weights = np.zeros((1 << k, 1 << k), dtype=np.intp)
+        for bit in range(k):
+            weights += ((index[:, None] ^ index) >> bit) & 1
+        weights.flags.writeable = False
+        tables[k] = (k, weights, np.empty(weights.shape, dtype=np.complex128))
+    products, buffers, lo = [], (amps, scratch), 0
+    for i, k in enumerate(sizes):
+        shape = (-1, 1 << k) if lo == 0 else (-1, 1 << k, 1 << lo)
+        products.append((tables[k][2], buffers[i % 2].reshape(shape), buffers[1 - i % 2].reshape(shape), lo == 0))
+        lo += k
+    return tuple(tables.values()), tuple(products), (amps, scratch) if len(sizes) % 2 else None
+
+
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy calls, or None where
+    numpy's extension module resolves no such symbol (another BLAS, or a build that hides it)."""
+    try:
+        from numpy._core import _multiarray_umath as extension
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as extension
+    try:
+        lib = ctypes.CDLL(extension.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+        get, set_ = (getattr(lib, name % verb, None) for verb in ("get", "set"))
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def apply_rx_blocks(state: StateVector, theta: float, *, workspace: Workspace | None = None,
+                    unit_diagonal: bool = False) -> StateVector:
+    """exp(-i theta X) on every stored qubit below the mirrored top one: qubits 0..n-2 of a
+    mirrored state, whose qubit n-1 takes apply_rx, and every qubit of a full state.
+
+    The qubits go in blocks of 3-5 (_block_sizes; one block below 6 stored qubits), and
+    each block is one np.matmul with RX^(tensor k), whose entry (a, b) is
+    cos^(k-w) (-i sin)^w with w = popcount(a ^ b); with unit_diagonal, as in apply_rx,
+    it is (-i tan)^w, the gates divided by cos theta. The products go from the state's
+    buffer to the scratch buffer and back in turn, and an odd count of blocks ends with
+    one copy back. OpenBLAS runs them on one thread: the call sets the count to 1 and
+    restores the previous count when the products end, also when one raises; where numpy
+    exposes no OpenBLAS thread control, the products run with the library's own count.
+    The result agrees with the gates one at a time up to rounding.
+
+    workspace is a Workspace of this state whose mixer has an X term on every such qubit;
+    it holds the block views, the popcount tables, one matrix buffer per block size and
+    the thread control. Without one the call builds them and a scratch buffer of the
+    stored size for itself.
+    """
+    h = state.amplitudes
+    if workspace is None:
+        (tables, products, copy), blas = _rx_row(h, np.empty_like(h)), _openblas_threads()
+    else:
+        _bound(workspace, state)
+        if workspace.rx_row is None:
+            raise StateError("workspace has no RX row; its mixer lacks an X term on a stored qubit")
+        (tables, products, copy), blas = workspace.rx_row, workspace.blas
+    c, s = math.cos(theta), math.sin(theta)
+    for k, weights, matrix in tables:
+        w = np.arange(k + 1)
+        powers = (-1j * (s / c)) ** w if unit_diagonal else c ** (k - w) * (-1j * s) ** w
+        powers.take(weights, out=matrix, mode="clip")
+    previous = 1 if blas is None else blas[0]()
+    if previous != 1:
+        blas[1](1)
+    try:
+        for matrix, source, destination, low in products:
+            if low:
+                np.matmul(source, matrix, out=destination)
+            else:
+                np.matmul(matrix, source, out=destination)
+    finally:
+        if previous != 1:
+            blas[1](previous)
+    if copy is not None:
+        copy[0][...] = copy[1]
     return state
 
 
@@ -645,12 +772,17 @@ class Workspace:
     layout. scratch is one buffer of the stored size. The gates write their
     partner product there, feedback_observable its e = -i D psi or its pair
     products, the phase layer its phases and expectation_diagonal its
-    probabilities, and apply_yz_layer uses it as its second buffer; no two
-    calls overlap in time, so one buffer serves them all. rx, yz, pure,
-    weighted and gather hold the views each kernel walks, built on amplitudes
-    and scratch: an RX view per X_j term of the mixer, apply_yz_layer's
-    per-head copies and rotations over its Y_j Z_k terms in order (None when
-    it has none), the feedback's views per term kind, and the phase gather's.
+    probabilities, and apply_yz_layer and apply_rx_blocks use it as their
+    second buffer; no two calls overlap in time, so one buffer serves them
+    all; it starts on a 64-byte boundary. rx, rx_row, yz, pure, weighted and gather hold the views
+    each kernel walks, built on amplitudes and scratch: an RX view per X_j term
+    of the mixer, apply_rx_blocks' block views, popcount tables and matrix
+    buffers (None unless the mixer has an X term on every stored qubit below
+    the mirrored top one), apply_yz_layer's per-head copies and rotations over
+    its Y_j Z_k terms in order (None when it has none), the feedback's views
+    per term kind, and the phase gather's. blas is the (get, set) pair of
+    OpenBLAS's thread count that apply_rx_blocks pins, looked up with the row;
+    None without a row or where numpy exposes none.
     pure holds (c, views) per qubit j of the X_j terms without a Z string,
     with c their summed coefficient; weighted holds (j, letter, table, views)
     per flipped qubit j and letter of every other term, with table its weight
@@ -669,6 +801,8 @@ class Workspace:
     levels: np.ndarray | None
     gather: tuple
     rx: dict
+    rx_row: tuple | None
+    blas: tuple | None
     yz: tuple | None
     pure: tuple
     weighted: tuple
@@ -686,7 +820,7 @@ class Workspace:
         # The tables first, so that their work buffer is freed before the scratch buffer is
         # allocated; the other order raised the peak RSS of an n=16 run by 0.1-0.3 MiB.
         weighted = tuple(weighted)
-        scratch = np.empty_like(amps)
+        scratch = _aligned_empty(amps.size)
         rx, edges = {}, []
         for term in mixer.terms:
             qubit_of = {p: q for q, p in term.ops}
@@ -694,6 +828,7 @@ class Workspace:
                 rx[qubit_of["X"]] = _rx_views(amps, qubit_of["X"], top, scratch)
             elif len(term.ops) == 2 and qubit_of.keys() == {"Y", "Z"}:
                 edges.append((qubit_of["Y"], qubit_of["Z"]))
+        row = _rx_row(amps, scratch) if rx.keys() >= set(range(state.n_qubits - state.mirrored)) else None
         return cls(
             amplitudes=amps,
             mirrored=state.mirrored,
@@ -703,6 +838,8 @@ class Workspace:
             levels=_levels(half),
             gather=_gather_plan(amps, half, scratch),
             rx=rx,
+            rx_row=row,
+            blas=None if row is None else _openblas_threads(),
             yz=_yz_layer(amps, scratch, edges, state.n_qubits, state.mirrored) if edges else None,
             pure=tuple((c, *_pure_views(amps, scratch, j, top)) for j, c in pure),
             weighted=tuple((j, letter, table, *_pair_views(amps, scratch, j, top)) for j, letter, table in weighted),

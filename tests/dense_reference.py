@@ -51,6 +51,15 @@ def dense_rx(n, q, theta):
     return pauli_rotation(n, {q: "X"}, theta)
 
 
+def dense_rx_row(n, count, theta):
+    """RX(theta) on each of qubits 0..count-1 and the identity above, as one Kronecker product."""
+    gate = np.cos(theta) * I2 - 1j * np.sin(theta) * PAULI["X"]
+    mat = np.eye(1 << (n - count), dtype=complex)
+    for _ in range(count):
+        mat = np.kron(mat, gate)
+    return mat
+
+
 def dense_rzz(n, q1, q2, theta):
     return pauli_rotation(n, {q1: "Z", q2: "Z"}, theta)
 

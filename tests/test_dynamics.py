@@ -380,6 +380,23 @@ class TestRoundLoopKernels:
         for args in energies + feedbacks + gates:
             assert args[0].mirrored and args[0].amplitudes.shape == (1 << (g.n - 1),)
 
+    @pytest.mark.parametrize("n", [dynamics.RX_BLOCKS_FROM_N - 1, 14])
+    def test_from_the_switch_the_row_is_one_block_call_and_the_top_gate(self, monkeypatch, n):
+        # Qubits 0..n-2 go through apply_rx_blocks and qubit n-1, whose partner is the
+        # reversed half, through apply_rx; below the switch every gate is an apply_rx call.
+        g = gen_erdos_renyi(n, 0.5, seed=n)
+        blocks = counting(monkeypatch, "apply_rx_blocks")
+        gates = counting(monkeypatch, "apply_rx")
+        run_qaoa_feedback(g, build_maxcut(g), RunConfig(rounds=7))
+        if n >= dynamics.RX_BLOCKS_FROM_N:
+            assert len(blocks) == 7
+            assert [args[1] for args in gates] == [n - 1] * 7
+        else:
+            assert blocks == []
+            assert [args[1] for args in gates] == list(range(n)) * 7
+        for args in blocks + gates:
+            assert args[0].mirrored and args[0].amplitudes.shape == (1 << (n - 1),)
+
     def test_energy_count_follows_early_stop(self, monkeypatch, cubic10):
         g, h, oracle = cubic10
         energies = counting(monkeypatch, "expectation_diagonal")
@@ -608,7 +625,9 @@ class TestTransverseFieldLayer:
             sv.apply_diagonal_phase(row, mixer.h.diag, dt * (1.0 / mixer.h.m))
             for j in range(n):
                 sv.apply_rx(row, j, theta / dt * dt)
-            if abs(math.tan(theta)) > 1:
+            # The plain gates one at a time are the per-gate row itself; from RX_BLOCKS_FROM_N on
+            # the blocks' matmuls round otherwise.
+            if abs(math.tan(theta)) > 1 and n < dynamics.RX_BLOCKS_FROM_N:
                 assert np.array_equal(state.amplitudes, row.amplitudes)
             assert np.max(np.abs(state.amplitudes - row.amplitudes)) < 1e-13
 

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from lyapcut import experiments
-from lyapcut.dynamics import BetaParams, RunConfig
+from lyapcut.dynamics import NORM_TOL, RX_BLOCKS_FROM_N, BetaParams, RunConfig
 from lyapcut.experiments import (
     CertificateCounts,
     ConvergenceRecord,
@@ -131,7 +131,7 @@ class TestRunSuite:
         run_suite(spec, tmp_path)
         rows = read_trace_csv(tmp_path / "erdos_renyi_n06_i00.csv")
         (gid, g), = suite_instances(spec)
-        oracle, traces, _ = solve_instance(g, spec.config)
+        oracle, traces, _, _ = solve_instance(g, spec.config)
         assert oracle == brute_force_max_cut(g)
         assert len(rows) == len(traces) == 25
         for row, tr in zip(rows, traces):
@@ -158,9 +158,9 @@ class TestRunSuite:
         # centred on vertex 0 is cut best by vertex 0 alone, index 1.
         g = Graph.from_edges(3, [(0, 1), (0, 2)])
         cfg = RunConfig(rounds=2)
-        oracle, traces, counts = solve_instance(g, cfg)
+        oracle, traces, counts, drift = solve_instance(g, cfg)
         assert oracle == CutOracleResult(optimum=2, maximizer=1)
-        write_summary(tmp_path / "s.json", "s", g, cfg, None, oracle, traces, counts)
+        write_summary(tmp_path / "s.json", "s", g, cfg, None, oracle, traces, counts, drift)
         assert json.loads((tmp_path / "s.json").read_text())["oracle"]["one_maximizer"] == "100"
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -266,8 +266,8 @@ class TestCertificateCounts:
     FREEZE = dict(dt=0.1, rounds=12, beta=BetaParams(c=20))
 
     def summary(self, tmp_path, g, cfg):
-        oracle, traces, counts = solve_instance(g, cfg)
-        write_summary(tmp_path / "s.json", "s", g, cfg, None, oracle, traces, counts)
+        oracle, traces, counts, drift = solve_instance(g, cfg)
+        write_summary(tmp_path / "s.json", "s", g, cfg, None, oracle, traces, counts, drift)
         summary = json.loads((tmp_path / "s.json").read_text())
         assert "violations" not in summary
         assert {key: summary[key] for key in ("one_param_clamps", "two_param_clamps", "freeze_round")} == \
@@ -294,6 +294,34 @@ class TestCertificateCounts:
         traces, counts = self.summary(tmp_path, self.K2, RunConfig(ansatz=ansatz, **self.FREEZE))
         assert counts == CertificateCounts(0, 0, freeze_round)
         assert [tr.step for tr in traces if tr.violation] == [freeze_round]
+
+
+class TestFinalNormDrift:
+    """The summary records | ||psi||^2 - 1 | of the run's last norm check, which is deterministic."""
+
+    def test_a_default_run_reads_below_the_tolerance(self, tmp_path):
+        g = make_graph("regular3", 8, seed=1)
+        cfg = RunConfig(rounds=200)
+        oracle, traces, counts, drift = solve_instance(g, cfg)
+        assert 0.0 <= drift < NORM_TOL
+        write_summary(tmp_path / "s.json", "s", g, cfg, None, oracle, traces, counts, drift)
+        assert json.loads((tmp_path / "s.json").read_text())["final_norm_drift"] == drift
+
+    def test_reruns_and_the_pool_write_the_same_bytes_above_the_row_switch(self, tmp_path):
+        # n=14 runs the transverse-field row as BLAS block products (dynamics.RX_BLOCKS_FROM_N).
+        spec = small_spec(n_list=(14,), instances_per_n=2, config=RunConfig(rounds=20), snapshot_steps=(10,))
+        assert 14 >= RX_BLOCKS_FROM_N
+        run_suite(spec, tmp_path / "a")
+        run_suite(spec, tmp_path / "b")
+        run_suite(dataclasses.replace(spec, workers=2), tmp_path / "pool")
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert len(names) == 2 * 2 + 2
+        for other in ("b", "pool"):
+            assert names == sorted(p.name for p in (tmp_path / other).iterdir())
+            for name in names:
+                assert (tmp_path / "a" / name).read_bytes() == (tmp_path / other / name).read_bytes()
+        for graph_id, _ in suite_instances(spec):
+            assert 0.0 <= json.loads((tmp_path / "a" / f"{graph_id}.json").read_text())["final_norm_drift"] < NORM_TOL
 
 
 class TestConvergence:

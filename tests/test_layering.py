@@ -1,6 +1,6 @@
 """Modules of the package import only each other's public names, the round
 loop reaches the certificates only through Certificates, the statevector
-kernels make no BLAS call, and the kernel and round-loop modules keep no
+kernels make only the BLAS calls listed here, and the kernel and round-loop modules keep no
 mutable state at module level. Importing the package loads no network or
 mail module."""
 
@@ -81,12 +81,16 @@ def blas_calls(source: str) -> list[str]:
 # The BLAS calls statevector keeps. expectation_diagonal's probs @ weights is numpy's
 # float64 vector matmul, cblas_ddot: any other summation changes <H_f> in its last
 # digits and with it the trace bytes. StateVector.norm serves the round loop's drift
-# check, once every NORM_CHECK_EVERY rounds and after the last.
-KEPT_BLAS_CALLS = ["np.linalg.norm", "probs @ weights"]
+# check, once every NORM_CHECK_EVERY rounds and after the last. apply_rx_blocks' two
+# np.matmul calls (the block at qubit 0 from the right, every other block from the
+# left) are the RX row's products, cblas_zgemm.
+KEPT_BLAS_CALLS = ["np.linalg.norm", "np.matmul", "np.matmul", "probs @ weights"]
 
 
 def test_statevector_kernels_make_no_blas_call():
-    # Pool workers inherit the parent's BLAS threads, and the kernels run in them.
+    # The row's matmuls run on one thread: apply_rx_blocks sets OpenBLAS's count to 1 around
+    # them, in the parent and in every pool worker alike, so no product waits for a core that
+    # another worker or process holds. A new BLAS call is listed above with its reason.
     assert blas_calls((PACKAGE_DIR / "statevector.py").read_text(encoding="utf-8")) == KEPT_BLAS_CALLS
 
 

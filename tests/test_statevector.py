@@ -1,4 +1,7 @@
+import ctypes
+import glob
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -10,6 +13,7 @@ from lyapcut.statevector import (
     apply_diagonal_phase,
     apply_observable,
     apply_rx,
+    apply_rx_blocks,
     apply_ryz,
     apply_rzz,
     apply_yz_layer,
@@ -23,6 +27,7 @@ from lyapcut.statevector import (
     Workspace,
 )
 
+from lyapcut import statevector
 from lyapcut.graphs import Graph, bfs_order, gen_erdos_renyi
 
 import dense_reference as dense
@@ -851,3 +856,137 @@ class TestUnitDiagonalRow:
                 apply_diagonal_phase(held, diag, gamma, workspace=ws, scale=scale)
                 assert np.array_equal(held.amplitudes, bare.amplitudes)
                 assert np.max(np.abs(bare.full() - expect)) < 1e-12
+
+
+def openblas_control():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, found as perfbench/run.py
+    finds it, or None."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in glob.glob(pattern):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+            get, set_ = (getattr(lib, name % verb, None) for verb in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+# |tan theta| > 1, with cos theta > 0 and < 0, for the plain gates only.
+PLAIN_THETAS = (1.3, 2.8, -2.2)
+
+
+class TestRXBlocks:
+    """apply_rx_blocks, RX on every stored qubit below the mirrored top one as a few
+    matmuls over blocks of qubits, matches the dense row and the gates one at a time."""
+
+    def test_block_sizes(self):
+        for stored in range(1, 25):
+            sizes = statevector._block_sizes(stored)
+            assert sum(sizes) == stored
+            assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+            if stored >= 6:
+                assert len(sizes) == -(-stored // 4) and 3 <= min(sizes) and max(sizes) <= 5
+            else:
+                assert sizes == [stored]
+        assert statevector._block_sizes(15) == [4, 4, 4, 3]
+
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["full", "mirrored"])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_dense(self, n, mirrored):
+        # Stored qubit counts 1..10 give every remainder of the blocks of 3-5: [1] .. [5],
+        # [3, 3], [4, 3], [4, 4], [3, 3, 3] and [4, 3, 3], with an odd and an even count.
+        rng = np.random.default_rng(900 + n + 20 * mirrored)
+        stored = n - mirrored
+        for unit, thetas in ((True, UNIT_THETAS), (False, UNIT_THETAS + PLAIN_THETAS)):
+            for theta in thetas:
+                bare = random_mirrored(n, rng) if mirrored else random_sv(n, rng)
+                held = bare.copy()
+                ws = Workspace.build(held, sum_x(n), naive_cut_table(n, connected_edges(n, rng)))
+                expect = dense.dense_rx_row(n, stored, theta) @ bare.full()
+                apply_rx_blocks(bare, theta, unit_diagonal=unit)
+                apply_rx_blocks(held, theta, workspace=ws, unit_diagonal=unit)
+                assert np.array_equal(held.amplitudes, bare.amplitudes)
+                scale = math.cos(theta) ** stored if unit else 1.0
+                assert np.max(np.abs(scale * bare.full() - expect)) < 1e-12
+
+    @pytest.mark.parametrize("n", range(12, 19))
+    def test_matches_the_gates_one_at_a_time(self, n):
+        rng = np.random.default_rng(940 + n)
+        for unit, theta in ((True, 0.024), (True, -2.6), (False, 0.7), (False, 2.8)):
+            blocks = random_mirrored(n, rng)
+            gates = blocks.copy()
+            ws = Workspace.build(blocks, sum_x(n), np.zeros(1 << n, dtype=np.int64))
+            apply_rx_blocks(blocks, theta, workspace=ws, unit_diagonal=unit)
+            for q in range(n - 1):
+                apply_rx(gates, q, theta, unit_diagonal=unit)
+            error = np.linalg.norm(blocks.amplitudes - gates.amplitudes)
+            assert error <= 1e-13 * np.linalg.norm(gates.amplitudes)
+
+    def test_a_round_after_the_first_allocates_nothing_of_the_state_size(self):
+        n = 16
+        state = init_plus(n, mirrored=True)
+        ws = Workspace.build(state, sum_x(n), np.zeros(1 << n, dtype=np.int64))
+        apply_rx_blocks(state, 0.3, workspace=ws)
+        tracemalloc.start()
+        try:
+            apply_rx_blocks(state, 0.3, workspace=ws)
+            apply_rx_blocks(state, 0.02, workspace=ws, unit_diagonal=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 10
+
+    def test_a_workspace_without_the_row_or_of_another_buffer_is_refused(self):
+        n = 6
+        rng = np.random.default_rng(960)
+        diag = naive_cut_table(n, connected_edges(n, rng))
+        state = random_mirrored(n, rng)
+        lc = Workspace.build(state, sum_yz([(0, 1), (1, 2)]), diag)
+        assert lc.rx_row is None and lc.blas is None
+        with pytest.raises(StateError, match="no RX row"):
+            apply_rx_blocks(state, 0.2, workspace=lc)
+        # X terms on qubits 0..n-2 are the row of a mirrored state; qubit n-1 is not needed.
+        partial = ObservableTerms.from_pairs([(1.0, {j: "X"}) for j in range(n - 1)])
+        assert Workspace.build(state, partial, diag).rx_row is not None
+        short = ObservableTerms.from_pairs([(1.0, {j: "X"}) for j in range(n - 2)])
+        with pytest.raises(StateError, match="no RX row"):
+            apply_rx_blocks(state, 0.2, workspace=Workspace.build(state, short, diag))
+        ws = Workspace.build(state, sum_x(n), diag)
+        with pytest.raises(StateError, match="another state buffer"):
+            apply_rx_blocks(state.copy(), 0.2, workspace=ws)
+
+    @pytest.mark.parametrize("with_workspace", [True, False], ids=["workspace", "bare"])
+    def test_products_run_on_one_blas_thread_and_restore_the_count(self, monkeypatch, with_workspace):
+        control = openblas_control()
+        if control is None:
+            pytest.skip("numpy exposes no OpenBLAS thread control")
+        get, set_ = control
+        n = 14
+        state = random_mirrored(n, np.random.default_rng(970))
+        ws = Workspace.build(state, sum_x(n), np.zeros(1 << n, dtype=np.int64)) if with_workspace else None
+        matmul, seen = np.matmul, []
+
+        def probe(*args, **kwargs):
+            seen.append(get())
+            return matmul(*args, **kwargs)
+
+        def failing(*args, **kwargs):
+            seen.append(get())
+            raise FloatingPointError("injected")
+
+        before = get()
+        set_(2)
+        try:
+            monkeypatch.setattr(np, "matmul", probe)
+            apply_rx_blocks(state, 0.3, workspace=ws)
+            assert seen == [1] * len(statevector._block_sizes(n - 1))
+            assert get() == 2
+            monkeypatch.setattr(np, "matmul", failing)
+            with pytest.raises(FloatingPointError, match="injected"):
+                apply_rx_blocks(state, 0.3, workspace=ws)
+            assert seen[-1] == 1
+            assert get() == 2
+        finally:
+            set_(before)
