@@ -32,6 +32,7 @@ from .certificates import Certificates
 from .graphs import CutOracleResult, Graph, GraphError, bfs_order
 from .hamiltonian import MaxCutHamiltonian, NormBounds, error_constants
 from .statevector import (
+    RX_BLOCKS_FROM_N,
     STATE_CAP_DEFAULT,
     ObservableTerms,
     StateError,
@@ -50,9 +51,6 @@ from .statevector import (
 ANSATZE = ("qaoa_feedback", "light_cone")
 NORM_CHECK_EVERY = 64
 NORM_TOL = 1e-9
-# From this n on, the transverse-field layer applies RX on qubits 0..n-2 as one
-# apply_rx_blocks call; see Mixer.
-RX_BLOCKS_FROM_N = 13
 
 
 @dataclass(frozen=True)
@@ -139,8 +137,9 @@ class Mixer:
     RX_BLOCKS_FROM_N on, the gates on qubits 0..n-2 are one apply_rx_blocks
     call, a few single-thread BLAS products over the state, and qubit n-1
     takes apply_rx; below it each gate is one apply_rx call, so runs up to
-    n = 12 keep their bytes. The switch was placed by timing whole rounds at
-    n = 12, 13 and 14 (CHANGES.md). With feedback
+    n = 12 keep their bytes. The switch, statevector's one constant, was
+    placed by timing whole rounds at n = 12, 13 and 14 (CHANGES.md), and
+    feedback_observable reads it too. With feedback
     the layer coefficient is beta * O, which keeps the certificate increments
     nonnegative; without it the literal beta is used and negative increments
     are clamped by the trackers. Kernels are called through this module's

@@ -32,7 +32,12 @@ Feedback. feedback_observable takes the pure X_j terms of a mixer from one
 e = -i D psi per call, and every other term from a weight table per flipped
 qubit and letter, P = Delta_j * sum c s_S over the pairs of amplitudes that
 differ in bit j. A run's Workspace holds the tables; a table then costs one
-product conj(a0) a1 and one contraction per call, and no BLAS call.
+product conj(a0) a1 and one contraction per call, and no BLAS call. Below
+RX_BLOCKS_FROM_N each pure term is one BLAS-free np.einsum of the partner
+amplitudes with e; from it on, the terms of qubits 0 and 1 and of up to three
+blocks of three qubits at the top are read off 8 x 8 Gram matrices of the
+float views of psi and e, one np.matmul each (_pure_plan), and only the
+qubits between them and the mirrored top one keep their einsum.
 
 Workspace. A run's kernels rebuild nothing per call: Workspace.build(state,
 mixer, diag) makes, once per run, the feedback's weight tables, the strided
@@ -61,14 +66,16 @@ mirrored top one as a few blocks of 3-5 qubits: each block is one np.matmul
 with the 2^k x 2^k matrix RX^(tensor k), whose entry (a, b) is
 cos^(k-w) (-i sin)^w, w = popcount(a ^ b), or (-i tan)^w for the unit-diagonal
 row, and the products alternate between the state's buffer and the scratch
-buffer. The kernel pins OpenBLAS to one thread around its matmuls: with two
-threads a product waits for a core that another process may hold.
+buffer. This kernel and the feedback's Gram blocks pin OpenBLAS to one thread
+around their matmuls (_one_blas_thread): with two threads a product waits for
+a core that another process may hold.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,6 +83,12 @@ import numpy as np
 
 # The largest n of a state, and of the cut tables that the Hamiltonian and the oracle build.
 STATE_CAP_DEFAULT = 24
+# From this n on, the transverse-field kernels run as single-thread BLAS products:
+# dynamics.Mixer applies RX on qubits 0..n-2 as one apply_rx_blocks call, and
+# feedback_observable reads most pure X_j terms off Gram blocks (_pure_plan). Below it
+# both keep the per-qubit code, so runs up to n = 12 keep their bytes. Placed by timing
+# whole rounds at n = 12, 13 and 14.
+RX_BLOCKS_FROM_N = 13
 
 # Z on one qubit, broadcast over the (high, bit, low) view of its halves.
 _Z_SIGNS = np.array([[1.0], [-1.0]])
@@ -365,6 +378,21 @@ def _openblas_threads():
     return None
 
 
+@contextmanager
+def _one_blas_thread(blas):
+    """Runs its body with OpenBLAS on one thread and restores the previous count after it,
+    also when the body raises. blas is _openblas_threads()'s (get, set); None leaves the
+    library's own count."""
+    previous = 1 if blas is None else blas[0]()
+    if previous != 1:
+        blas[1](1)
+    try:
+        yield
+    finally:
+        if previous != 1:
+            blas[1](previous)
+
+
 def apply_rx_blocks(state: StateVector, theta: float, *, workspace: Workspace | None = None,
                     unit_diagonal: bool = False) -> StateVector:
     """exp(-i theta X) on every stored qubit below the mirrored top one: qubits 0..n-2 of a
@@ -398,18 +426,12 @@ def apply_rx_blocks(state: StateVector, theta: float, *, workspace: Workspace | 
         w = np.arange(k + 1)
         powers = (-1j * (s / c)) ** w if unit_diagonal else c ** (k - w) * (-1j * s) ** w
         powers.take(weights, out=matrix, mode="clip")
-    previous = 1 if blas is None else blas[0]()
-    if previous != 1:
-        blas[1](1)
-    try:
+    with _one_blas_thread(blas):
         for matrix, source, destination, low in products:
             if low:
                 np.matmul(source, matrix, out=destination)
             else:
                 np.matmul(matrix, source, out=destination)
-    finally:
-        if previous != 1:
-            blas[1](previous)
     if copy is not None:
         copy[0][...] = copy[1]
     return state
@@ -739,6 +761,48 @@ def _pure_views(amps: np.ndarray, scratch: np.ndarray, j: int, top: int):
     return (p.T, w.T) if shape[-1] <= 4 else (p, w)
 
 
+def _pure_plan(amps: np.ndarray, scratch: np.ndarray, pure, top: int, blocked: bool):
+    """(gram, rest) for the pure X_j sums pure, (j, c) per qubit, with e = -i D psi in scratch.
+
+    With P and E the float64 views of amps and e, float bit 0 is the real or imaginary
+    part, so qubit j's sum Re sum_y conj(psi(y ^ 2^j)) e(y) is sum_f P[f ^ 2^(j+1)] E[f].
+    When blocked, most qubits' sums are read off 8 x 8 Gram matrices of views whose
+    block axis holds three float bits, G[a, b] = sum P[.., a, ..] E[.., b, ..], as the
+    sum of G * W; the weight table W holds c_j where a ^ b is qubit j's block bit. gram
+    holds (left, right, out, W) per block, and np.matmul(left, right, out=out) makes G:
+    - qubits 0 and 1, float bits 1 and 2 of the (-1, 8) views: G = P.T @ E;
+    - blocks of qubits lo..lo+2 from the highest stored qubit down: the (R, 8, 2^(lo+1))
+      views, with G_r = P_r @ E_r.T for each of their R rows, while lo >= 2 and
+      R <= 64. The blocks share one (64, 8, 8) output buffer.
+    Blocks without a term are left out. rest holds (c, partner, e) per qubit that no
+    block covers, the mirrored top one among them, for one einsum each (_pure_views);
+    all of them when not blocked. At n = 16 on a 2 vCPU Xeon, one BLAS thread, a block
+    took 19-27 us against 76-124 us for the einsums it replaces, but a block of R = 512
+    rows, one dgemm each, took 114 us against 101 us, and a 16 x 16 Gram matrix of qubits
+    0-2, or of four top qubits, about 115 us.
+    """
+    coefficients, gram, covered = dict(pure), [], set()
+    if blocked and pure:
+        stored = amps.size.bit_length() - 1
+        p, e = amps.view(np.float64), scratch.view(np.float64)
+        # (qubits, their block bits, left, right) per block.
+        blocks = [((0, 1), (1, 2), p.reshape(1, -1, 8).transpose(0, 2, 1), e.reshape(1, -1, 8))] if stored >= 2 else []
+        for lo in range(stored - 3, 1, -3)[:3]:
+            shape = (1 << (stored - 3 - lo), 8, 2 << lo)
+            blocks.append(((lo, lo + 1, lo + 2), (0, 1, 2), p.reshape(shape), e.reshape(shape).transpose(0, 2, 1)))
+        out = np.empty((64, 8, 8))
+        flips = np.arange(8)[:, None] ^ np.arange(8)
+        for qubits, bits, left, right in blocks:
+            if not coefficients.keys() & set(qubits):
+                continue
+            weights = sum(coefficients.get(q, 0.0) * (flips == 1 << t) for q, t in zip(qubits, bits))
+            weights.flags.writeable = False
+            gram.append((left, right, out[: left.shape[0]], weights))
+            covered.update(qubits)
+    rest = tuple((c, *_pure_views(amps, scratch, j, top)) for j, c in pure if j not in covered)
+    return tuple(gram), rest
+
+
 def _walk(view: np.ndarray, j: int) -> np.ndarray:
     """A (high, low) pair view of qubit j in the order the feedback walks it: transposed
     below qubit 3, whose runs of 1-4 entries numpy walks slowly, so that the long axis
@@ -774,17 +838,19 @@ class Workspace:
     products, the phase layer its phases and expectation_diagonal its
     probabilities, and apply_yz_layer and apply_rx_blocks use it as their
     second buffer; no two calls overlap in time, so one buffer serves them
-    all; it starts on a 64-byte boundary. rx, rx_row, yz, pure, weighted and gather hold the views
+    all; it starts on a 64-byte boundary. rx, rx_row, yz, gram, pure, weighted and gather hold the views
     each kernel walks, built on amplitudes and scratch: an RX view per X_j term
     of the mixer, apply_rx_blocks' block views, popcount tables and matrix
     buffers (None unless the mixer has an X term on every stored qubit below
     the mirrored top one), apply_yz_layer's per-head copies and rotations over
     its Y_j Z_k terms in order (None when it has none), the feedback's views
     per term kind, and the phase gather's. blas is the (get, set) pair of
-    OpenBLAS's thread count that apply_rx_blocks pins, looked up with the row;
-    None without a row or where numpy exposes none.
-    pure holds (c, views) per qubit j of the X_j terms without a Z string,
-    with c their summed coefficient; weighted holds (j, letter, table, views)
+    OpenBLAS's thread count that apply_rx_blocks and the Gram blocks pin,
+    looked up once when either exists; None without them or where numpy
+    exposes none. gram holds the Gram blocks of the X_j terms without a Z
+    string, with their weight tables and output buffer (empty below
+    RX_BLOCKS_FROM_N), and pure (c, views) per qubit j of those terms that no
+    block covers, with c their summed coefficient (see _pure_plan); weighted holds (j, letter, table, views)
     per flipped qubit j and letter of every other term, with table its weight
     table (see feedback_observable). levels is the phase level table of the
     diagonal, None when it is not a nonnegative integer table.
@@ -804,6 +870,7 @@ class Workspace:
     rx_row: tuple | None
     blas: tuple | None
     yz: tuple | None
+    gram: tuple
     pure: tuple
     weighted: tuple
 
@@ -829,6 +896,7 @@ class Workspace:
             elif len(term.ops) == 2 and qubit_of.keys() == {"Y", "Z"}:
                 edges.append((qubit_of["Y"], qubit_of["Z"]))
         row = _rx_row(amps, scratch) if rx.keys() >= set(range(state.n_qubits - state.mirrored)) else None
+        gram, pure = _pure_plan(amps, scratch, pure, top, state.n_qubits >= RX_BLOCKS_FROM_N)
         return cls(
             amplitudes=amps,
             mirrored=state.mirrored,
@@ -839,9 +907,10 @@ class Workspace:
             gather=_gather_plan(amps, half, scratch),
             rx=rx,
             rx_row=row,
-            blas=None if row is None else _openblas_threads(),
+            blas=None if row is None and not gram else _openblas_threads(),
             yz=_yz_layer(amps, scratch, edges, state.n_qubits, state.mirrored) if edges else None,
-            pure=tuple((c, *_pure_views(amps, scratch, j, top)) for j, c in pure),
+            gram=gram,
+            pure=pure,
             weighted=tuple((j, letter, table, *_pair_views(amps, scratch, j, top)) for j, letter, table in weighted),
         )
 
@@ -973,7 +1042,13 @@ def feedback_observable(state: StateVector, mixer: ObservableTerms, diag: np.nda
 
     - c X_j with no Z string: <psi| X_j D |psi> = sum_y conj(psi(y ^ 2^j)) (D psi)(y),
       so the term gives -2c sum_y Re(conj(psi(y ^ 2^j)) e(y)), e = -i D psi:
-      one buffer of the stored size per call, then one contraction per qubit.
+      one buffer of the stored size per call, then one BLAS-free np.einsum per
+      qubit below RX_BLOCKS_FROM_N. From it on, qubits 0 and 1 and up to three
+      blocks of three qubits from the highest stored one down are read off 8 x 8
+      Gram matrices of the float views of psi and e, one np.matmul each, run on
+      one OpenBLAS thread as in apply_rx_blocks; the qubits between them and
+      the mirrored top one keep their einsum (_pure_plan). The sum then runs
+      in another order and agrees with the einsums to about 1e-13 relative.
     - every other term flips one qubit j: over the amplitude pairs (a0, a1)
       that differ in bit j, the Y terms on j give +2 sum P Re(conj(a0) a1) and
       the X terms -2 sum P Im(conj(a0) a1), with P the weight table of j and
@@ -998,17 +1073,24 @@ def feedback_observable(state: StateVector, mixer: ObservableTerms, diag: np.nda
     if workspace is None:
         half, pure, weighted = _split(mixer, diag, state.n_qubits, state.mirrored)
         scratch = np.empty(amps.size if pure else amps.size - amps.size // 4, dtype=np.complex128)
-        pure = tuple((c, *_pure_views(amps, scratch, j, top)) for j, c in pure)
+        gram, pure = _pure_plan(amps, scratch, pure, top, state.n_qubits >= RX_BLOCKS_FROM_N)
+        blas = _openblas_threads() if gram else None
         weighted = ((j, letter, table, *_pair_views(amps, scratch, j, top)) for j, letter, table in weighted)
     else:
         _bound(workspace, state, diag, mixer)
-        half, scratch, pure, weighted = diag[: amps.size], workspace.scratch, workspace.pure, workspace.weighted
+        half, scratch, weighted = diag[: amps.size], workspace.scratch, workspace.weighted
+        gram, pure, blas = workspace.gram, workspace.pure, workspace.blas
     mirror_scale = 2.0 if state.mirrored else 1.0
     total = 0.0
-    if pure:
+    if gram or pure:
         _minus_i_d_psi(amps, half, scratch)
-        for c, p, e in pure:
-            total -= 2.0 * mirror_scale * c * float(np.einsum("ijk,ijk->", p, e, order="C"))
+    if gram:
+        with _one_blas_thread(blas):
+            for left, right, out, weights in gram:
+                np.matmul(left, right, out=out)
+                total -= 2.0 * mirror_scale * float(np.einsum("rab,ab->", out, weights))
+    for c, p, e in pure:
+        total -= 2.0 * mirror_scale * c * float(np.einsum("ijk,ijk->", p, e, order="C"))
     for _, letter, table, a0, a1, product, part in weighted:
         np.conjugate(a0, out=product, order="C")
         product *= a1

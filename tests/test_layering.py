@@ -83,14 +83,16 @@ def blas_calls(source: str) -> list[str]:
 # digits and with it the trace bytes. StateVector.norm serves the round loop's drift
 # check, once every NORM_CHECK_EVERY rounds and after the last. apply_rx_blocks' two
 # np.matmul calls (the block at qubit 0 from the right, every other block from the
-# left) are the RX row's products, cblas_zgemm.
-KEPT_BLAS_CALLS = ["np.linalg.norm", "np.matmul", "np.matmul", "probs @ weights"]
+# left) are the RX row's products, cblas_zgemm. feedback_observable's np.matmul makes
+# the 8 x 8 Gram blocks of its pure X_j terms from the switch on, cblas_dgemm.
+KEPT_BLAS_CALLS = ["np.linalg.norm", "np.matmul", "np.matmul", "np.matmul", "probs @ weights"]
 
 
 def test_statevector_kernels_make_no_blas_call():
-    # The row's matmuls run on one thread: apply_rx_blocks sets OpenBLAS's count to 1 around
-    # them, in the parent and in every pool worker alike, so no product waits for a core that
-    # another worker or process holds. A new BLAS call is listed above with its reason.
+    # The matmuls of the RX row and of the feedback's Gram blocks run on one thread: both
+    # kernels set OpenBLAS's count to 1 around them (_one_blas_thread), in the parent and in
+    # every pool worker alike, so no product waits for a core that another worker or process
+    # holds. A new BLAS call is listed above with its reason.
     assert blas_calls((PACKAGE_DIR / "statevector.py").read_text(encoding="utf-8")) == KEPT_BLAS_CALLS
 
 

@@ -29,6 +29,7 @@ from lyapcut.statevector import (
 
 from lyapcut import statevector
 from lyapcut.graphs import Graph, bfs_order, gen_erdos_renyi
+from lyapcut.hamiltonian import build_maxcut
 
 import dense_reference as dense
 
@@ -957,15 +958,23 @@ class TestRXBlocks:
         with pytest.raises(StateError, match="another state buffer"):
             apply_rx_blocks(state.copy(), 0.2, workspace=ws)
 
-    @pytest.mark.parametrize("with_workspace", [True, False], ids=["workspace", "bare"])
-    def test_products_run_on_one_blas_thread_and_restore_the_count(self, monkeypatch, with_workspace):
+    @pytest.mark.parametrize("kernel, with_workspace", [("rx_row", True), ("rx_row", False),
+                                                        ("feedback", True), ("feedback", False)],
+                             ids=["workspace", "bare", "feedback-workspace", "feedback-bare"])
+    def test_products_run_on_one_blas_thread_and_restore_the_count(self, monkeypatch, kernel, with_workspace):
         control = openblas_control()
         if control is None:
             pytest.skip("numpy exposes no OpenBLAS thread control")
         get, set_ = control
         n = 14
-        state = random_mirrored(n, np.random.default_rng(970))
-        ws = Workspace.build(state, sum_x(n), np.zeros(1 << n, dtype=np.int64)) if with_workspace else None
+        state, mixer = random_mirrored(n, np.random.default_rng(970)), sum_x(n)
+        diag = np.zeros(1 << n, dtype=np.int64)
+        ws = Workspace.build(state, mixer, diag) if with_workspace else None
+        if kernel == "rx_row":
+            call, products = lambda: apply_rx_blocks(state, 0.3, workspace=ws), len(statevector._block_sizes(n - 1))
+        else:
+            # The Gram blocks of qubits 0-1, 10-12, 7-9 and 4-6.
+            call, products = lambda: feedback_observable(state, mixer, diag, workspace=ws), 4
         matmul, seen = np.matmul, []
 
         def probe(*args, **kwargs):
@@ -980,13 +989,75 @@ class TestRXBlocks:
         set_(2)
         try:
             monkeypatch.setattr(np, "matmul", probe)
-            apply_rx_blocks(state, 0.3, workspace=ws)
-            assert seen == [1] * len(statevector._block_sizes(n - 1))
+            call()
+            assert seen == [1] * products
             assert get() == 2
             monkeypatch.setattr(np, "matmul", failing)
             with pytest.raises(FloatingPointError, match="injected"):
-                apply_rx_blocks(state, 0.3, workspace=ws)
+                call()
             assert seen[-1] == 1
             assert get() == 2
         finally:
             set_(before)
+
+
+class TestGramFeedback:
+    """From RX_BLOCKS_FROM_N on, feedback_observable reads the pure X_j terms of qubits 0-1
+    and of the upper blocks of three qubits off 8 x 8 Gram matrices; it matches the dense
+    commutator and the per-qubit einsums it replaces, which keep the other qubits."""
+
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["full", "mirrored"])
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_matches_dense_with_the_switch_lowered(self, monkeypatch, n, mirrored):
+        monkeypatch.setattr(statevector, "RX_BLOCKS_FROM_N", 2)
+        rng = np.random.default_rng(1000 + n + 20 * mirrored)
+        diag = naive_cut_table(n, connected_edges(n, rng))
+        # Unit and unequal coefficients, and a mixer without an X term on qubits 1 and n-2.
+        for pairs in ([(1.0, {j: "X"}) for j in range(n)],
+                      [(0.3 + 0.7 * j * (-1) ** j, {j: "X"}) for j in range(n)],
+                      [(1.0 - 0.4 * j, {j: "X"}) for j in range(n) if j not in (1, n - 2)]):
+            mixer = ObservableTerms.from_pairs(pairs)
+            for _ in range(2):
+                s = random_mirrored(n, rng) if mirrored else random_sv(n, rng)
+                ws = Workspace.build(s, mixer, diag)
+                assert ws.gram
+                got = feedback_observable(s, mixer, diag, workspace=ws)
+                assert got == feedback_observable(s, mixer, diag)
+                assert abs(got - dense_feedback(s.full(), pairs, diag)) < 1e-12
+
+    # Qubits left to the einsum: 2 up to the lowest block, and the mirrored top one.
+    EINSUM_QUBITS = {13: [2, 12], 14: [2, 3, 13], 15: [2, 3, 4, 14], 16: [2, 3, 4, 5, 15],
+                     17: [2, 3, 4, 5, 6, 16], 18: [2, 3, 4, 5, 6, 7, 17]}
+
+    @pytest.mark.parametrize("n", range(13, 19))
+    def test_matches_the_per_qubit_einsum_from_the_switch(self, monkeypatch, n):
+        rng = np.random.default_rng(1040 + n)
+        diag = build_maxcut(gen_erdos_renyi(n, 0.4, seed=n)).diag
+        # Distinct weights, so that a weight in the wrong block would show.
+        mixer = ObservableTerms.from_pairs([(1.0 + 0.1 * j, {j: "X"}) for j in range(n)])
+        for _ in range(3):
+            s = random_mirrored(n, rng)
+            ws = Workspace.build(s, mixer, diag)
+            assert len(ws.gram) == 4
+            assert [c for c, *_ in ws.pure] == [1.0 + 0.1 * j for j in self.EINSUM_QUBITS[n]]
+            blocked = feedback_observable(s, mixer, diag, workspace=ws)
+            assert blocked == feedback_observable(s, mixer, diag)
+            with monkeypatch.context() as m:
+                m.setattr(statevector, "RX_BLOCKS_FROM_N", n + 1)
+                walked = feedback_observable(s, mixer, diag)
+            assert abs(blocked - walked) <= 1e-12 * abs(walked)
+
+    def test_a_light_cone_mixer_keeps_its_bits(self, monkeypatch):
+        # A YZ-only mixer has no pure X term, so the switch changes nothing of its path.
+        n = 14
+        rng = np.random.default_rng(1060)
+        g = gen_erdos_renyi(n, 0.4, seed=3)
+        diag, mixer = build_maxcut(g).diag, sum_yz(bfs_order(g).oriented_edges)
+        s = random_mirrored(n, rng)
+        ws = Workspace.build(s, mixer, diag)
+        assert ws.gram == () and ws.pure == () and ws.blas is None
+        got = feedback_observable(s, mixer, diag, workspace=ws)
+        with monkeypatch.context() as m:
+            m.setattr(statevector, "RX_BLOCKS_FROM_N", n + 1)
+            assert feedback_observable(s, mixer, diag, workspace=Workspace.build(s, mixer, diag)) == got
+            assert feedback_observable(s, mixer, diag) == got
