@@ -13,6 +13,7 @@ from .certificates import (
 )
 from .dynamics import (
     BetaParams,
+    Run,
     RunConfig,
     StepTrace,
     beta_schedule,
@@ -20,7 +21,6 @@ from .dynamics import (
     run_qaoa_feedback,
 )
 from .experiments import (
-    CertificateCounts,
     ConvergenceRecord,
     FitResult,
     PlotSeries,

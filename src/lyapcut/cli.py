@@ -28,6 +28,7 @@ from .experiments import (
     write_trace_csv,
 )
 from .graphs import Graph, GraphError, brute_force_max_cut, load_graph, make_graph
+from .statevector import StateError
 
 _FAMILY_ALIASES = {
     "regular3": "regular3",
@@ -208,15 +209,12 @@ def _cmd_run(args) -> int:
         # The fields that RunConfig checks (dt, rounds, epsilon) share their names with the flags.
         raise SystemExit(f"lyapcut run: --{err}") from None
     _check_output_dir(args)
-    try:
-        oracle, traces, counts, drift = solve_instance(g, cfg)
-    except GraphError as err:  # above the state cap, or disconnected under the light cone
-        raise SystemExit(f"lyapcut run --graph {args.graph}: {err}") from None
+    oracle, run = solve_instance(g, cfg)
     out = _output_dir(args)
     graph_id = args.graph_id or f"run_n{g.n:02d}"
-    write_trace_csv(out / f"{graph_id}.csv", graph_id, g, traces)
-    write_summary(out / f"{graph_id}.json", graph_id, g, cfg, None, oracle, traces, counts, drift)
-    last = traces[-1]
+    write_trace_csv(out / f"{graph_id}.csv", graph_id, g, run)
+    write_summary(out / f"{graph_id}.json", graph_id, g, cfg, None, oracle, run)
+    last = run[-1]
     print(f"{graph_id}: steps={last.step} hf/m={last.hf_over_m:.6f} "
           f"lambda_lb={last.lambda_lb:.6f} two_param_lb={last.two_param_lb:.6f} true_ratio={last.true_ratio:.6f}")
     return 0
@@ -239,6 +237,8 @@ def _cmd_convergence(args) -> int:
     _check_output_dir(args)
     try:
         records = convergence_experiment(spec, args.targets)
+    except StateError:  # a run stopped; main names it
+        raise
     except ValueError as err:  # such as an n_list entry above the state cap, refused before any run
         raise SystemExit(f"{err} in {args.config}") from None
     out = _output_dir(args)
@@ -286,10 +286,7 @@ def _emit_convergence_plot(records: list[ConvergenceRecord], fits: dict[str, Fit
 
 def _cmd_oracle(args) -> int:
     g = _resolve_graph(args.graph, args.command)
-    try:
-        res = brute_force_max_cut(g)
-    except GraphError as err:  # above the state cap
-        raise SystemExit(f"lyapcut oracle --graph {args.graph}: {err}") from None
+    res = brute_force_max_cut(g)
     print(f"optimum {res.optimum}")
     print(f"maximizer {res.sides(g.n)}")
     return 0
@@ -361,7 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (GraphError, StateError) as err:  # a graph the run refuses, or a run that stopped
+        source = f"--config {args.config}" if "config" in args else f"--graph {args.graph}"
+        raise SystemExit(f"lyapcut {args.command} {source}: {err}") from None
 
 
 if __name__ == "__main__":

@@ -10,10 +10,10 @@ The first measurement happens on the initial plus state, so round 1 of the
 transverse-field ansatz applies an identity mixer layer.
 A NaN or infinite feedback value or energy stops the run with StateError, and
 so does a squared norm that drifts from 1 by more than NORM_TOL, checked
-every NORM_CHECK_EVERY rounds and after the last one. A runner calls its
-observer with (p, <H_f>, one-parameter tracker, two-parameter tracker) after
-round p, from p = 0 on the plus state, and its norm_observer once with the
-last check's drift | ||psi||^2 - 1 |.
+every NORM_CHECK_EVERY rounds and after the last one; an adaptive step that
+is not positive stops it too. A runner calls its observer with (p, <H_f>,
+one-parameter tracker, two-parameter tracker) after round p, from p = 0 on the
+plus state, and returns a Run: the trace rows and the run's per-run facts.
 
 Both loops evolve the mirrored half of the state (see statevector): every
 layer and both mixers commute with the global bit flip, and so does |+>. The
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -123,6 +124,29 @@ class StepTrace:
 
 
 @dataclass(frozen=True)
+class Run(Sequence):
+    """One run, read as the sequence of its trace rows, with the per-run facts the rows leave out:
+    the clamped increments of each tracker, which a row's violation flag merges; freeze_round, the
+    round whose denominator collapse froze the two-parameter tracker (None when it never froze);
+    and final_norm_drift, | ||psi||^2 - 1 | at the run's last norm check."""
+
+    traces: tuple[StepTrace, ...]
+    one_param_clamps: int
+    two_param_clamps: int
+    freeze_round: Optional[int]
+    final_norm_drift: float
+
+    def __getitem__(self, index):
+        return self.traces[index]
+
+    def __len__(self) -> int:
+        return len(self.traces)
+
+    def __iter__(self):
+        return iter(self.traces)
+
+
+@dataclass(frozen=True)
 class Mixer:
     """The mixer generator A of one run: its layer, O = <i[A, H_f]>, and its norm bounds.
 
@@ -193,8 +217,7 @@ def _run_loop(
     oracle: Optional[CutOracleResult],
     observer: Optional[Callable],
     stop_at_true_ratio: Optional[float],
-    norm_observer: Optional[Callable[[float], None]],
-) -> list[StepTrace]:
+) -> Run:
     h = mixer.h
     m = h.m
     state = init_plus(h.n, cap=cfg.state_cap, mirrored=True)
@@ -209,6 +232,7 @@ def _run_loop(
         observer(0, hf_after, certs.one, certs.two)
 
     traces: list[StepTrace] = []
+    freeze_round = None
     t_elapsed = 0.0
     for p in range(1, cfg.rounds + 1):
         beta = beta_schedule(min(t_elapsed, cfg.rounds * cfg.dt), cfg.rounds, cfg.dt, cfg.beta)
@@ -219,7 +243,11 @@ def _run_loop(
         dt_p = cfg.dt
         if cfg.adaptive_dt:
             dt_p = certs.step_size(mixer.norm_bounds(alpha), cfg.epsilon, cfg.dt, alpha, o_used, hf_before)
+            if not dt_p > 0:
+                raise StateError(f"adaptive step {dt_p} in round {p} is not positive: alpha={alpha}, O={o_used}")
         violation = certs.advance(alpha, o_used, dt_p, hf_before)
+        if certs.two.frozen and freeze_round is None:
+            freeze_round = p
 
         mixer.apply(state, alpha, dt_p, workspace)
 
@@ -250,9 +278,7 @@ def _run_loop(
         if stop_at_true_ratio is not None and true_ratio is not None and true_ratio >= stop_at_true_ratio:
             break
     drift = _check_norm(len(traces), state)
-    if norm_observer is not None:
-        norm_observer(drift)
-    return traces
+    return Run(tuple(traces), certs.one.violations, certs.two.violations, freeze_round, drift)
 
 
 def _check_finite(p: int, o_value: float, hf_value: float) -> None:
@@ -281,12 +307,11 @@ def run_qaoa_feedback(
     oracle: Optional[CutOracleResult] = None,
     observer: Optional[Callable] = None,
     stop_at_true_ratio: Optional[float] = None,
-    norm_observer: Optional[Callable[[float], None]] = None,
-) -> list[StepTrace]:
+) -> Run:
     """Transverse-field feedback ansatz: diagonal phase layer then n RX rotations
-    (see Mixer); observer and norm_observer as in the module docstring."""
+    (see Mixer); observer and the returned Run as in the module docstring."""
     _check_graph(g, h)
-    return _run_loop(Mixer(h), cfg, oracle, observer, stop_at_true_ratio, norm_observer)
+    return _run_loop(Mixer(h), cfg, oracle, observer, stop_at_true_ratio)
 
 
 def run_light_cone(
@@ -296,11 +321,10 @@ def run_light_cone(
     oracle: Optional[CutOracleResult] = None,
     observer: Optional[Callable] = None,
     stop_at_true_ratio: Optional[float] = None,
-    norm_observer: Optional[Callable[[float], None]] = None,
-) -> list[StepTrace]:
+) -> Run:
     """BFS-oriented YZ-rotation ansatz with no commuting layer; the whole oriented
     YZ sum is one feedback term, and cfg.lightcone_feedback turns the feedback off."""
     _check_graph(g, h)
     edges = bfs_order(g, root=0).oriented_edges
     mixer = Mixer(h, feedback=cfg.lightcone_feedback, yz_edges=edges)
-    return _run_loop(mixer, cfg, oracle, observer, stop_at_true_ratio, norm_observer)
+    return _run_loop(mixer, cfg, oracle, observer, stop_at_true_ratio)

@@ -21,7 +21,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, get_type_hints
 
-from .dynamics import RunConfig, StepTrace, run_light_cone, run_qaoa_feedback
+from .dynamics import Run, RunConfig, StepTrace, run_light_cone, run_qaoa_feedback
 from .graphs import (
     CONNECTED_CUBIC_COUNTS,
     FAMILIES,
@@ -137,42 +137,17 @@ def suite_instances(spec: SuiteSpec):
             yield f"{spec.family}_n{n:02d}_i{k:02d}", g
 
 
-@dataclass(frozen=True)
-class CertificateCounts:
-    """The causes that a trace row's violation flag merges, counted apart over one run:
-    clamped increments of each tracker, and the round whose denominator collapse froze
-    the two-parameter tracker (None when it never froze)."""
-
-    one_param_clamps: int
-    two_param_clamps: int
-    freeze_round: Optional[int]
-
-
 def solve_instance(
     g: Graph,
     cfg: RunConfig,
     stop_at_true_ratio: Optional[float] = None,
-) -> tuple[CutOracleResult, list[StepTrace], CertificateCounts, float]:
+) -> tuple[CutOracleResult, Run]:
     """Run the configured ansatz on g; the oracle is read off the cut table of
-    the same Hamiltonian, so the table is built once. The counts come from an
-    observer of the run's trackers, and the last item, the final norm drift
-    | ||psi||^2 - 1 |, from the run's norm_observer."""
+    the same Hamiltonian, so the table is built once."""
     h = build_maxcut(g, cap=cfg.state_cap)
     oracle = CutOracleResult.from_table(h.diag)
     runner = run_qaoa_feedback if cfg.ansatz == "qaoa_feedback" else run_light_cone
-    seen = {}
-
-    def watch(p, hf, one, two):
-        seen["trackers"] = one, two
-        if two.frozen:
-            seen.setdefault("freeze_round", p)
-
-    def watch_norm(drift):
-        seen["drift"] = drift
-
-    traces = runner(g, h, cfg, oracle, observer=watch, stop_at_true_ratio=stop_at_true_ratio, norm_observer=watch_norm)
-    one, two = seen["trackers"]
-    return oracle, traces, CertificateCounts(one.violations, two.violations, seen.get("freeze_round")), seen["drift"]
+    return oracle, runner(g, h, cfg, oracle, stop_at_true_ratio=stop_at_true_ratio)
 
 
 def _fmt(value) -> str:
@@ -214,10 +189,10 @@ def read_trace_csv(path: Path) -> list[dict]:
 
 
 def write_summary(path: Path, graph_id: str, g: Graph, cfg: RunConfig, family: Optional[str],
-                  oracle: CutOracleResult, traces: Sequence[StepTrace], counts: CertificateCounts,
-                  final_norm_drift: float) -> None:
-    """Write the per-instance summary JSON; family is None for a graph from outside a suite grid."""
-    last = traces[-1]
+                  oracle: CutOracleResult, run: Run) -> None:
+    """Write the per-instance summary JSON, with every Run field but the traces under its own name;
+    family is None for a graph from outside a suite grid."""
+    last = run[-1]
     summary = {
         "graph_id": graph_id,
         "family": family,
@@ -239,15 +214,14 @@ def write_summary(path: Path, graph_id: str, g: Graph, cfg: RunConfig, family: O
             "two_param_lb": last.two_param_lb,
             "true_ratio": last.true_ratio,
         },
-        **dataclasses.asdict(counts),
-        "final_norm_drift": final_norm_drift,
+        **{f.name: getattr(run, f.name) for f in dataclasses.fields(run) if f.name != "traces"},
     }
     atomic_write(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def _solve_each(spec: SuiteSpec, instances: Sequence[tuple[str, Graph]],
                 stop_at_true_ratio: Optional[float] = None):
-    """Yield (graph_id, g, oracle, traces, counts, drift) for each (graph_id, g) pair, in the given order.
+    """Yield (graph_id, g, oracle, run) for each (graph_id, g) pair, in the given order.
 
     With workers > 1 the runs fan out over a process pool, whose map keeps the
     input order and hands each result over as soon as it and its predecessors
@@ -288,13 +262,13 @@ def run_suite(spec: SuiteSpec, output_dir) -> dict:
     snapshots = sorted(s for s in set(spec.snapshot_steps) if 1 <= s <= spec.config.rounds)
     at_snapshot = {}  # (n, step) -> the trace row at that step of each instance of size n, in grid order
     done = []
-    for graph_id, g, oracle, traces, counts, drift in _solve_each(spec, instances):
-        write_trace_csv(out / f"{graph_id}.csv", graph_id, g, traces)
-        write_summary(out / f"{graph_id}.json", graph_id, g, spec.config, spec.family, oracle, traces, counts, drift)
+    for graph_id, g, oracle, run in _solve_each(spec, instances):
+        write_trace_csv(out / f"{graph_id}.csv", graph_id, g, run)
+        write_summary(out / f"{graph_id}.json", graph_id, g, spec.config, spec.family, oracle, run)
         done.append(graph_id)
         for s in snapshots:
-            if len(traces) >= s:
-                at_snapshot.setdefault((g.n, s), []).append(traces[s - 1])
+            if len(run) >= s:
+                at_snapshot.setdefault((g.n, s), []).append(run[s - 1])
 
     agg_lines = ["family,n,step,instances,mean_true_ratio,mean_lambda_lb,mean_two_param_lb,mean_hf_over_m"]
     for n in spec.n_list:
@@ -342,9 +316,9 @@ def convergence_experiment(spec: SuiteSpec, targets: Iterable[float]) -> list[Co
     if over:
         raise ValueError(f"n_list: {cap_message(over[0], spec.config.state_cap)}")
     records = []
-    for graph_id, g, _, traces, _, _ in _solve_each(spec, list(suite_instances(spec)), stop_at_true_ratio=targets[-1]):
+    for graph_id, g, _, run in _solve_each(spec, list(suite_instances(spec)), stop_at_true_ratio=targets[-1]):
         for target in targets:
-            hit = next((tr.step for tr in traces if tr.true_ratio >= target), NOT_REACHED)
+            hit = next((tr.step for tr in run if tr.true_ratio >= target), NOT_REACHED)
             records.append(ConvergenceRecord(graph_id=graph_id, n=g.n, target=target, rounds_to_target=hit))
     return records
 

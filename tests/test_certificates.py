@@ -193,14 +193,16 @@ def identity_residuals(runner, g, cfg):
 
     With h_p = <H_f>/m after round p, g_k the clamped gain max(alpha O dt, 0) and r_k = dH_k - g_k:
     lambda_p = h_p - 1/2 - (1/m) sum r_k, and, up to the freeze round, y_p/x_p = 2 h_p - 1 -
-    (2/(m x_p)) sum x_k r_k. Returns the worst residual of each, the clamp count and the freeze round."""
+    (2/(m x_p)) sum x_k r_k. Returns the worst residual of each, the clamp counts of the one- and the
+    two-parameter tracker, which folds gains in up to its freeze round, the freeze round and the run."""
     seen = []
-    traces = runner(g, build_maxcut(g), cfg,
-                    observer=lambda p, hf, one, two: seen.append((hf, one.lam, two.x, two.y, two.frozen)))
+    run = runner(g, build_maxcut(g), cfg,
+                 observer=lambda p, hf, one, two: seen.append((hf, one.lam, two.x, two.y, two.frozen)))
     m = g.m
     sum_r = sum_xr = t_prev = worst_one = worst_two = 0.0
-    clamps, freeze = 0, None
-    for p, tr in enumerate(traces, 1):
+    clamps = two_clamps = 0
+    freeze = None
+    for p, tr in enumerate(run, 1):
         gain = tr.alpha * tr.O * (tr.t - t_prev)
         t_prev = tr.t
         clamps += gain < 0
@@ -212,9 +214,11 @@ def identity_residuals(runner, g, cfg):
         worst_one = max(worst_one, abs(lam - (h_p - 0.5 - sum_r / m)))
         if frozen and freeze is None:
             freeze = p
+        if freeze in (None, p):
+            two_clamps += gain < 0
         if freeze is None:
             worst_two = max(worst_two, abs(y / x - (2 * h_p - 1 - 2 / (m * x) * sum_xr)))
-    return worst_one, worst_two, clamps, freeze
+    return worst_one, worst_two, clamps, two_clamps, freeze, run
 
 
 CUBIC10 = gen_random_regular(10, 3, seed=1)
@@ -239,8 +243,9 @@ class TestExactIdentities:
     ], ids=["qaoa_fixed", "qaoa_adaptive", "light_cone_fixed", "light_cone_adaptive", "light_cone_clamps",
             "qaoa_freeze", "light_cone_freeze"])
     def test_bounds_equal_their_identities(self, runner, g, cfg, clamped, freeze):
-        worst_one, worst_two, clamps, frozen_at = identity_residuals(runner, g, cfg)
+        worst_one, worst_two, clamps, two_clamps, frozen_at, run = identity_residuals(runner, g, cfg)
         assert (clamps > 0, frozen_at) == (clamped, freeze)
+        assert (run.one_param_clamps, run.two_param_clamps, run.freeze_round) == (clamps, two_clamps, frozen_at)
         assert worst_one <= 1e-12
         assert worst_two <= 1e-12
 

@@ -402,6 +402,22 @@ def test_gen_passes_the_flags_the_family_reads(tmp_path):
     assert Graph.from_text(out_file.read_text()).degrees == (4,) * 8
 
 
+@pytest.mark.parametrize("command", ["suite", "convergence"])
+@pytest.mark.parametrize("config, message", [
+    ({"ansatz": "lightcone", "beta": {"c": 1e308}}, r"non-finite value after round 1: O=nan, <H_f>=nan$"),
+    ({"adaptive_dt": True, "beta": {"c": 1e200}}, r"adaptive step 0\.0 in round 2 is not positive: alpha="),
+], ids=["light_cone_nan", "adaptive_zero_step"])
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # the NaN run's kernels
+def test_a_run_that_stops_names_command_config_and_round(tmp_path, capsys, command, config, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"family": "regular3", "n_list": [6], "instances_per_n": 1, "rounds": 5, **config}))
+    # A SystemExit with a message prints the message alone, with no traceback.
+    with pytest.raises(SystemExit, match=rf"^lyapcut {command} --config {re.escape(str(cfg_path))}: {message}") as exc:
+        main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert "dt must be positive" not in str(exc.value.code)
+    assert capsys.readouterr().out == ""
+
+
 def test_convergence_size_above_state_cap_names_size_cap_and_file(tmp_path, monkeypatch):
     # Refused before any run: the n=6 instances must not run first.
     monkeypatch.setattr(experiments, "solve_instance", lambda *args, **kwargs: pytest.fail("ran an instance"))

@@ -6,9 +6,8 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from lyapcut import experiments
-from lyapcut.dynamics import NORM_TOL, RX_BLOCKS_FROM_N, BetaParams, RunConfig
+from lyapcut.dynamics import NORM_TOL, RX_BLOCKS_FROM_N, BetaParams, Run, RunConfig
 from lyapcut.experiments import (
-    CertificateCounts,
     ConvergenceRecord,
     PlotSeries,
     SuiteSpec,
@@ -131,7 +130,7 @@ class TestRunSuite:
         run_suite(spec, tmp_path)
         rows = read_trace_csv(tmp_path / "erdos_renyi_n06_i00.csv")
         (gid, g), = suite_instances(spec)
-        oracle, traces, _, _ = solve_instance(g, spec.config)
+        oracle, traces = solve_instance(g, spec.config)
         assert oracle == brute_force_max_cut(g)
         assert len(rows) == len(traces) == 25
         for row, tr in zip(rows, traces):
@@ -158,9 +157,9 @@ class TestRunSuite:
         # centred on vertex 0 is cut best by vertex 0 alone, index 1.
         g = Graph.from_edges(3, [(0, 1), (0, 2)])
         cfg = RunConfig(rounds=2)
-        oracle, traces, counts, drift = solve_instance(g, cfg)
+        oracle, run = solve_instance(g, cfg)
         assert oracle == CutOracleResult(optimum=2, maximizer=1)
-        write_summary(tmp_path / "s.json", "s", g, cfg, None, oracle, traces, counts, drift)
+        write_summary(tmp_path / "s.json", "s", g, cfg, None, oracle, run)
         assert json.loads((tmp_path / "s.json").read_text())["oracle"]["one_maximizer"] == "100"
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -257,55 +256,64 @@ class TestRunSuite:
                 assert row["two_param_lb"] <= row["true_ratio"] + 1e-9
 
 
-class TestCertificateCounts:
-    """The summary counts clamps per tracker and records the freeze round, which each
-    trace row's violation flag merges."""
+class TestClampsAndFreezeRound:
+    """The run counts clamps per tracker and records the freeze round, which each trace
+    row's violation flag merges, and the summary holds them."""
 
     # The freeze fixture of tests/test_dynamics.py::TestFreezePath: K2 with a large beta at fixed dt.
     K2 = Graph.from_edges(2, [(0, 1)])
     FREEZE = dict(dt=0.1, rounds=12, beta=BetaParams(c=20))
 
     def summary(self, tmp_path, g, cfg):
-        oracle, traces, counts, drift = solve_instance(g, cfg)
-        write_summary(tmp_path / "s.json", "s", g, cfg, None, oracle, traces, counts, drift)
+        oracle, run = solve_instance(g, cfg)
+        write_summary(tmp_path / "s.json", "s", g, cfg, None, oracle, run)
         summary = json.loads((tmp_path / "s.json").read_text())
         assert "violations" not in summary
-        assert {key: summary[key] for key in ("one_param_clamps", "two_param_clamps", "freeze_round")} == \
-            dataclasses.asdict(counts)
-        return traces, counts
+        keys = ("one_param_clamps", "two_param_clamps", "freeze_round")
+        assert {key: summary[key] for key in keys} == {key: getattr(run, key) for key in keys}
+        return run
 
     def test_a_default_run_reads_zeros_and_null(self, tmp_path):
-        traces, counts = self.summary(tmp_path, make_graph("regular3", 8, seed=1), RunConfig(rounds=200))
-        assert counts == CertificateCounts(0, 0, None)
-        assert not any(tr.violation for tr in traces)
+        run = self.summary(tmp_path, make_graph("regular3", 8, seed=1), RunConfig(rounds=200))
+        assert (run.one_param_clamps, run.two_param_clamps, run.freeze_round) == (0, 0, None)
+        assert not any(tr.violation for tr in run)
 
     def test_a_light_cone_run_without_feedback_clamps(self, tmp_path):
         # The literal beta overshoots: O is negative from round 194 on.
         cfg = RunConfig(ansatz="light_cone", lightcone_feedback=False, rounds=300)
-        traces, counts = self.summary(tmp_path, make_graph("regular3", 6, seed=1), cfg)
+        run = self.summary(tmp_path, make_graph("regular3", 6, seed=1), cfg)
         # Nothing froze, so both trackers clamp exactly the rounds whose gain alpha O dt is negative.
-        negative = sum(tr.alpha * tr.O < 0 for tr in traces)
+        negative = sum(tr.alpha * tr.O < 0 for tr in run)
         assert negative > 0
-        assert counts == CertificateCounts(negative, negative, None)
-        assert negative == sum(tr.violation for tr in traces)
+        assert (run.one_param_clamps, run.two_param_clamps, run.freeze_round) == (negative, negative, None)
+        assert negative == sum(tr.violation for tr in run)
 
     @pytest.mark.parametrize("ansatz, freeze_round", [("qaoa_feedback", 8), ("light_cone", 1)])
     def test_a_run_that_freezes_records_its_round(self, tmp_path, ansatz, freeze_round):
-        traces, counts = self.summary(tmp_path, self.K2, RunConfig(ansatz=ansatz, **self.FREEZE))
-        assert counts == CertificateCounts(0, 0, freeze_round)
-        assert [tr.step for tr in traces if tr.violation] == [freeze_round]
+        run = self.summary(tmp_path, self.K2, RunConfig(ansatz=ansatz, **self.FREEZE))
+        assert (run.one_param_clamps, run.two_param_clamps, run.freeze_round) == (0, 0, freeze_round)
+        assert [tr.step for tr in run if tr.violation] == [freeze_round]
+
+    def test_the_summary_holds_every_run_field_but_the_traces(self, tmp_path):
+        # A field added to Run reaches the summary under its own name, with no other change.
+        run = self.summary(tmp_path, self.K2, RunConfig(**self.FREEZE))
+        summary = json.loads((tmp_path / "s.json").read_text())
+        fixed = {"graph_id", "family", "n", "m", "parts", "graph_hash", "config", "oracle", "final"}
+        facts = {f.name for f in dataclasses.fields(Run)} - {"traces"}
+        assert set(summary) == fixed | facts
+        assert {key: summary[key] for key in facts} == {key: getattr(run, key) for key in facts}
 
 
 class TestFinalNormDrift:
-    """The summary records | ||psi||^2 - 1 | of the run's last norm check, which is deterministic."""
+    """The run records | ||psi||^2 - 1 | of its last norm check, which is deterministic, and the summary holds it."""
 
     def test_a_default_run_reads_below_the_tolerance(self, tmp_path):
         g = make_graph("regular3", 8, seed=1)
         cfg = RunConfig(rounds=200)
-        oracle, traces, counts, drift = solve_instance(g, cfg)
-        assert 0.0 <= drift < NORM_TOL
-        write_summary(tmp_path / "s.json", "s", g, cfg, None, oracle, traces, counts, drift)
-        assert json.loads((tmp_path / "s.json").read_text())["final_norm_drift"] == drift
+        oracle, run = solve_instance(g, cfg)
+        assert 0.0 <= run.final_norm_drift < NORM_TOL
+        write_summary(tmp_path / "s.json", "s", g, cfg, None, oracle, run)
+        assert json.loads((tmp_path / "s.json").read_text())["final_norm_drift"] == run.final_norm_drift
 
     def test_reruns_and_the_pool_write_the_same_bytes_above_the_row_switch(self, tmp_path):
         # n=14 runs the transverse-field row as BLAS block products (dynamics.RX_BLOCKS_FROM_N).
